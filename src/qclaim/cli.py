@@ -55,8 +55,6 @@ from .serialization import (
     kernel_from_json,
     kernel_to_json,
     ks_system_from_json,
-    ks_system_to_json,
-    matrix_to_json,
     quotes_from_json,
     real_from_json,
     render_json,
@@ -74,6 +72,7 @@ EXIT_NUMERICAL = 3
 SUBCOMMANDS = ("price", "calibrate", "optimize", "returns", "ks", "menu", "portfolio")
 
 _MAX_SEED = 2**64 - 1
+_MAX_DIMENSION = 64
 _DEFAULT_VERIFY_TRIALS = 256
 
 
@@ -96,6 +95,8 @@ def _handle_price(payload: dict, seed: int, tol: Tolerances):
 def _handle_calibrate(payload: dict, seed: int, tol: Tolerances):
     require_keys(payload, "payload", required=("n", "bond_price", "quotes"))
     n = int_from_json(payload["n"], "payload.n")
+    if not 1 <= n <= _MAX_DIMENSION:
+        raise ValidationError(f"payload.n must lie in [1, {_MAX_DIMENSION}], got {n}")
     bond_price = real_from_json(payload["bond_price"], "payload.bond_price")
     quotes = quotes_from_json(payload["quotes"], "payload.quotes", tol=tol)
     kernel = calibrate(n, bond_price, quotes, tol=tol)
@@ -125,7 +126,7 @@ def _handle_optimize(payload: dict, seed: int, tol: Tolerances):
         payload,
         "payload",
         required=("p", "kernel", "basis", "budget", "utility"),
-        optional=("horizon", "verify_trials"),
+        optional=("verify_trials",),
     )
     state, kernel, basis, budget, utility = _parse_allocation(payload, tol)
     trials = _DEFAULT_VERIFY_TRIALS
@@ -154,7 +155,7 @@ def _handle_returns(payload: dict, seed: int, tol: Tolerances):
         payload,
         "payload",
         required=("p", "kernel", "basis", "budget", "utility"),
-        optional=("horizon", "verify_trials"),
+        optional=("horizon",),
     )
     state, kernel, basis, budget, utility = _parse_allocation(payload, tol)
     horizon = 1.0
@@ -247,8 +248,8 @@ def _handle_menu(payload: dict, seed: int, tol: Tolerances):
         raise ValidationError("payload.payouts must be an array of per-contract rows")
     table = []
     for r, row in enumerate(raw_table):
-        if not isinstance(row, list):
-            raise ValidationError(f"payload.payouts[{r}] must be an array")
+        if not isinstance(row, list) or len(row) != 4:
+            raise ValidationError(f"payload.payouts[{r}] must be an array of 4 payouts")
         table.append([real_from_json(x, f"payload.payouts[{r}][{j}]") for j, x in enumerate(row)])
     utility = None
     if "utility" in payload:
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
         "calibrate": "recover a pricing state from quoted prices",
         "optimize": "solve for the utility-optimal payout schedule",
         "returns": "return decomposition and divergence of the optimal schedule",
-        "ks": "exhaustive impossibility check for the 18-ray tetrad system",
+        "ks": "exact-cover count of one-per-tetrad markings, 18-ray system by default",
         "menu": "score and choose among the tetrad contracts",
         "portfolio": "two-leg portfolio payout, price and covariance",
     }

@@ -1,8 +1,8 @@
 """An 18-ray, 9-tetrad orthogonality system in real 4-space and its contract menu.
 
 No assignment of {0, 1} to the rays can mark exactly one ray per tetrad:
-an exhaustive search over all 2^18 assignments finds none, and a parity
-argument explains why (each ray sits in exactly two tetrads, so any
+an exact-cover count of the one-per-tetrad markings finds none, and a
+parity argument explains why (each ray sits in exactly two tetrads, so any
 assignment's total over tetrads is even, while nine tetrads demanding one
 mark each force an odd total).  A sample space of outcomes with one
 classical probability per ray would require such an assignment to exist
@@ -14,7 +14,6 @@ the four outcomes of its tetrad's measurement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
 ]
 
 _SEARCH_RAY_LIMIT = 30
-_SEARCH_CHUNK = 1 << 20
 
 # Nine tetrads of integer rays, listed vertex by vertex.  Rays are
 # unnormalized and identified up to overall sign; repeats across tetrads
@@ -212,12 +210,14 @@ def verify_structure(system: KSSystem, *, tol: Tolerances = DEFAULT_TOLERANCES) 
 
 
 def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:
-    """Exhaustively count {0,1} assignments marking exactly one ray per tetrad.
+    """Count {0,1} assignments marking exactly one ray per tetrad.
 
-    Returns the count and, if any exist, one witness assignment listed in
-    ray order.  Assignments are enumerated as bit masks in chunks; a
-    tetrad is satisfied iff the assignment restricted to its four rays has
-    exactly one bit set, i.e. is a nonzero power of two.
+    Returns the count and, if any exist, the witness with the smallest
+    mask sum(a_i 2^i), listed in ray order.  The count is an exact cover
+    over bit masks: each tetrad is a column needing exactly one marked ray,
+    the search branches on the open tetrad with the fewest usable rays, and
+    marking a ray closes every tetrad holding it and forbids their other
+    rays.  Rays in no tetrad are free and double the count.
     """
     count_rays = len(system.rays)
     if count_rays > _SEARCH_RAY_LIMIT:
@@ -225,29 +225,45 @@ def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:
             f"exhaustive search supports at most {_SEARCH_RAY_LIMIT} rays, got {count_rays}"
         )
     position = {ray.ray_id: i for i, ray in enumerate(system.rays)}
-    masks = []
-    for basis in system.bases:
-        mask = 0
-        for rid in basis.ray_ids:
-            mask |= 1 << position[rid]
-        masks.append(np.uint64(mask))
-    one = np.uint64(1)
-    total = 1 << count_rays
-    count = 0
-    witness: list[int] | None = None
-    for start in range(0, total, _SEARCH_CHUNK):
-        stop = min(start + _SEARCH_CHUNK, total)
-        assignments = np.arange(start, stop, dtype=np.uint64)
-        valid = np.ones(stop - start, dtype=bool)
-        for mask in masks:
-            hits = assignments & mask
-            valid &= (hits != 0) & ((hits & (hits - one)) == 0)
-        chunk_count = int(valid.sum())
-        count += chunk_count
-        if witness is None and chunk_count:
-            bits = int(assignments[int(np.argmax(valid))])
-            witness = [(bits >> i) & 1 for i in range(count_rays)]
-    return count, witness
+    tetrads = [sum(1 << position[rid] for rid in basis.ray_ids) for basis in system.bases]
+    closes = [0] * count_rays  # tetrads holding each ray, by tetrad index
+    forbids = [0] * count_rays  # rays sharing a tetrad with each ray, itself included
+    covered = 0
+    for t, mask in enumerate(tetrads):
+        covered |= mask
+        for i in _bits(mask):
+            closes[i] |= 1 << t
+            forbids[i] |= mask
+
+    def cover(open_tetrads: int, usable: int) -> tuple[int, int]:
+        # Bits are disjoint across levels, so a branch's smallest mask is
+        # its ray bit plus the smallest mask below it.
+        if not open_tetrads:
+            return 1, 0
+        choices = min((tetrads[t] & usable for t in _bits(open_tetrads)), key=int.bit_count)
+        count, smallest = 0, 0
+        for i in _bits(choices):
+            sub_count, sub_smallest = cover(open_tetrads & ~closes[i], usable & ~forbids[i])
+            if sub_count:
+                candidate = (1 << i) | sub_smallest
+                if not count or candidate < smallest:
+                    smallest = candidate
+                count += sub_count
+        return count, smallest
+
+    count, smallest = cover((1 << len(tetrads)) - 1, covered)
+    if not count:
+        return 0, None
+    free = count_rays - covered.bit_count()
+    return count << free, [(smallest >> i) & 1 for i in range(count_rays)]
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def parity_certificate(system: KSSystem) -> bool:
@@ -290,7 +306,12 @@ class ContractMenu:
         *,
         tol: Tolerances = DEFAULT_TOLERANCES,
     ):
-        table = np.array(payout_tables, dtype=float)
+        try:
+            table = np.array(payout_tables, dtype=float)
+        except ValueError as exc:
+            raise DimensionMismatchError(
+                f"payout table must be a rectangular array of reals: {exc}"
+            ) from None
         if table.ndim != 2 or table.shape != (len(system.bases), 4):
             raise DimensionMismatchError(
                 f"payout table shape {table.shape} does not match "

@@ -30,7 +30,6 @@ class Tolerances:
     calibration: float = 1e-8
     budget: float = 1e-8
     marginal_floor: float = 1e-12
-    correlation: float = 1e-10
     additivity: float = 1e-10
     excess_identity: float = 1e-10
     optimality: float = 1e-9

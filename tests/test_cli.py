@@ -241,3 +241,35 @@ def test_console_entry_point(tmp_path):
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_ragged_menu_payouts_exit_2(tmp_path, capsys):
+    document = json.loads((GOLDEN / "menu.scenario.json").read_text())
+    document["payload"]["payouts"][4] = [1.0, 2.0, 3.0]
+    assert cli.run("menu", write_scenario(tmp_path, document)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])["error"]
+    assert record["exit_code"] == 2 and record["type"] == "validation"
+    assert "payload.payouts[4]" in record["message"]
+
+
+@pytest.mark.parametrize("n", [0, 65, 3000])
+def test_calibrate_dimension_bounds(n, tmp_path, capsys):
+    document = {"kind": "calibrate", "payload": {"n": n, "bond_price": 0.9, "quotes": []}}
+    out = tmp_path / "report.json"
+    assert cli.run("calibrate", write_scenario(tmp_path, document), out_path=str(out)) == 2
+    assert not out.exists()
+    assert "payload.n" in error_record(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "kind, key, value", [("optimize", "horizon", 2.0), ("returns", "verify_trials", 64)]
+)
+def test_ignored_keys_rejected(kind, key, value, tmp_path, capsys):
+    document = json.loads((GOLDEN / f"{kind}.scenario.json").read_text())
+    document["payload"][key] = value
+    assert cli.run(kind, write_scenario(tmp_path, document)) == 2
+    assert key in error_record(capsys)["message"]

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,78 @@ def test_parity_agrees_with_search_on_nine_cycle():
     assert count == 0 and witness is None
 
 
+def brute_force_colourings(system):
+    """Reference count over every bit mask; the witness is the smallest valid mask."""
+    position = {ray.ray_id: i for i, ray in enumerate(system.rays)}
+    masks = np.arange(1 << len(system.rays))
+    valid = np.ones(masks.size, dtype=bool)
+    for basis in system.bases:
+        valid &= sum((masks >> position[rid]) & 1 for rid in basis.ray_ids) == 1
+    if not valid.any():
+        return 0, None
+    smallest = int(masks[valid][0])
+    return int(valid.sum()), [(smallest >> i) & 1 for i in range(len(system.rays))]
+
+
+def random_incidence_system(rng):
+    # The search reads only the incidence, so rays need not be orthogonal.
+    # Ids are shuffled and spaced out, and some rays may sit in no tetrad.
+    count_rays = int(rng.integers(4, 17))
+    ids = [3 * int(k) + 1 for k in rng.permutation(count_rays)]
+    rays = [qc.KSRay(rid, (1, rid, 0, 0)) for rid in ids]
+    used = ids[: int(rng.integers(4, count_rays + 1))]
+    bases = []
+    for _ in range(int(rng.integers(1, 9))):
+        if bases and rng.random() < 0.2:
+            bases.append(bases[int(rng.integers(len(bases)))])
+        else:
+            picked = rng.choice(len(used), size=4, replace=False)
+            bases.append(qc.KSBasis(tuple(used[int(k)] for k in picked)))
+    return qc.KSSystem(rays, bases)
+
+
+def test_search_matches_brute_force_on_random_systems():
+    rng = np.random.default_rng(20230517)
+    seen_free = seen_duplicate = seen_colourable = seen_uncolourable = False
+    for _ in range(150):
+        system = random_incidence_system(rng)
+        expected = brute_force_colourings(system)
+        assert qc.search_colourings(system) == expected
+        incidence = system.incidence()
+        seen_free |= any(not hits for hits in incidence.values())
+        seen_duplicate |= len(set(system.bases)) < len(system.bases)
+        seen_colourable |= expected[0] > 0
+        seen_uncolourable |= expected[0] == 0
+    assert seen_free and seen_duplicate and seen_colourable and seen_uncolourable
+
+
+def peres_system():
+    """Peres's 24 rays and the 24 orthogonal tetrads among them."""
+    comps = set()
+    for base in ((1, 0, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0), (1, 1, 1, 1), (1, 1, 1, -1), (1, 1, -1, -1)):
+        for perm in itertools.permutations(base):
+            comps.add(max(perm, tuple(-c for c in perm)))
+    rays = [qc.KSRay(i, c) for i, c in enumerate(sorted(comps))]
+    bases = [
+        qc.KSBasis(tuple(r.ray_id for r in quad))
+        for quad in itertools.combinations(rays, 4)
+        if all(a.dot(b) == 0 for a, b in itertools.combinations(quad, 2))
+    ]
+    return qc.KSSystem(rays, bases)
+
+
+def test_peres_system_has_no_colouring():
+    system = peres_system()
+    assert len(system.rays) == 24
+    assert len(system.bases) == 24
+    assert all(len(hits) == 4 for hits in system.incidence().values())
+    start = time.perf_counter()
+    count, witness = qc.search_colourings(system)
+    elapsed = time.perf_counter() - start
+    assert count == 0 and witness is None
+    assert elapsed < 0.25
+
+
 def test_search_ray_limit():
     rays = [qc.KSRay(i, (1, i + 1, 0, 0)) for i in range(31)]
     system = qc.KSSystem(rays, [qc.KSBasis((0, 1, 2, 3))])
@@ -175,6 +250,9 @@ def test_menu_validation():
         qc.ContractMenu(system, -np.ones((9, 4)), state)
     with pytest.raises(qc.DimensionMismatchError):
         qc.ContractMenu(system, np.ones((9, 4)), qc.DensityMatrix(np.eye(2) / 2.0))
+    ragged = [[1.0, 2.0, 3.0, 4.0]] * 4 + [[1.0, 2.0, 3.0]] + [[1.0, 2.0, 3.0, 4.0]] * 4
+    with pytest.raises(qc.DimensionMismatchError, match="rectangular"):
+        qc.ContractMenu(system, ragged, state)
 
 
 def test_menu_probabilities_mixed_state():
