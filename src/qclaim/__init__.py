@@ -54,7 +54,6 @@ from .portfolio import (
 from .pricing import (
     AxiomReport,
     FinancialClaim,
-    PriceQuote,
     PricingKernel,
     arrow_debreu,
     calibrate,

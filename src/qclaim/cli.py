@@ -73,6 +73,7 @@ SUBCOMMANDS = ("price", "calibrate", "optimize", "returns", "ks", "menu", "portf
 
 _MAX_SEED = 2**64 - 1
 _MAX_DIMENSION = 64
+_MAX_VERIFY_TRIALS = 10_000
 _DEFAULT_VERIFY_TRIALS = 256
 
 
@@ -132,8 +133,10 @@ def _handle_optimize(payload: dict, seed: int, tol: Tolerances):
     trials = _DEFAULT_VERIFY_TRIALS
     if "verify_trials" in payload:
         trials = int_from_json(payload["verify_trials"], "payload.verify_trials")
-        if trials < 1:
-            raise ValidationError("payload.verify_trials must be positive")
+        if not 1 <= trials <= _MAX_VERIFY_TRIALS:
+            raise ValidationError(
+                f"payload.verify_trials must lie in [1, {_MAX_VERIFY_TRIALS}], got {trials}"
+            )
     investment = optimal_payouts(state, kernel, basis, budget, utility, tol=tol)
     verified = verify_optimality(
         investment, state, kernel, utility, trials, np.random.default_rng(seed), tol=tol

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .pricing import PricingKernel
-from .quantum import DensityMatrix
+from .quantum import DensityMatrix, _probabilities, _quadratic_forms
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -333,18 +333,11 @@ class ContractMenu:
 def _outcome_probabilities(
     system: KSSystem, state: DensityMatrix, tol: Tolerances
 ) -> np.ndarray:
-    rows = []
-    for basis in system.bases:
-        row = []
-        for rid in basis.ray_ids:
-            ray = system.ray(rid)
-            v = np.array(ray.components, dtype=complex)
-            weight = float(np.real(v.conj() @ state.entries @ v)) / ray.norm_squared()
-            if weight < -tol.psd or weight > 1.0 + tol.psd:
-                raise NumericalError(f"outcome probability {weight:.6g} lies outside [0, 1]")
-            row.append(min(max(weight, 0.0), 1.0))
-        rows.append(row)
-    return np.array(rows)
+    # The integer rays enter the quadratic form unnormalised; dividing them first
+    # by |r| would change the rounding of every menu probability.
+    rays = np.array([system.ray(rid).components for b in system.bases for rid in b.ray_ids])
+    weights = _quadratic_forms(state.entries, rays.astype(complex)) / (rays * rays).sum(axis=1)
+    return _probabilities(weights, tol).reshape(len(system.bases), 4)
 
 
 def menu_probabilities(menu: ContractMenu, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

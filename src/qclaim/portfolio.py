@@ -19,6 +19,7 @@ from .pricing import PricingKernel
 from .quantum import (
     DensityMatrix,
     HermitianOperator,
+    _trusted,
     partial_trace,
     subsystem_marginal,
 )
@@ -59,8 +60,7 @@ class TwoPartyState:
 
     def marginal(self, which: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
         """Reduced state of the "first" or "second" subsystem."""
-        reduced = partial_trace(self.rho, self.dims, which, tol=tol)
-        return DensityMatrix(reduced.entries, tol=tol)
+        return _trusted(DensityMatrix, partial_trace(self.rho, self.dims, which, tol=tol).entries)
 
     def __repr__(self) -> str:
         return f"TwoPartyState(dims={self.dims})"
@@ -90,7 +90,7 @@ class PortfolioObservable:
         joint = self.weights[0] * np.kron(self.first.entries, np.eye(m)) + self.weights[
             1
         ] * np.kron(np.eye(n), self.second.entries)
-        return HermitianOperator(joint, tol=tol)
+        return _trusted(HermitianOperator, joint)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def product_state(
     first: DensityMatrix, second: DensityMatrix, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> TwoPartyState:
     """Uncorrelated joint state: Kronecker product of the two factors."""
-    joint = DensityMatrix(np.kron(first.entries, second.entries), tol=tol)
+    joint = _trusted(DensityMatrix, np.kron(first.entries, second.entries))
     return TwoPartyState((first.dim, second.dim), joint)
 
 
@@ -150,7 +150,7 @@ def separable_mixture(
         total += w
     if abs(total - 1.0) > tol.trace:
         raise ValidationError(f"mixture weights must sum to 1, got {total:.12g}")
-    return TwoPartyState(dims, DensityMatrix(joint, tol=tol))
+    return TwoPartyState(dims, _trusted(DensityMatrix, joint))
 
 
 def is_ppt(state: TwoPartyState, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -279,7 +279,7 @@ def nparty_portfolio_operator(
         for j, other in enumerate(ops):
             term = np.kron(term, other.entries if j == i else np.eye(dims[j]))
         joint += w[i] * term
-    return HermitianOperator(joint, tol=tol)
+    return _trusted(HermitianOperator, joint)
 
 
 def nparty_expected_payout(

@@ -23,9 +23,10 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     MeasurementBasis,
+    _assemble,
+    _trusted,
     basis_marginals,
     eigendecompose,
-    from_spectrum,
     standard_basis,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -33,7 +34,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __all__ = [
     "FinancialClaim",
     "PricingKernel",
-    "PriceQuote",
     "AxiomReport",
     "price",
     "expected_payout",
@@ -72,7 +72,7 @@ class FinancialClaim:
         return self.basis.dim
 
     def as_operator(self, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
-        return from_spectrum(self.payouts, self.basis, tol=tol)
+        return _assemble(self.payouts, self.basis.vectors)
 
     def __repr__(self) -> str:
         return f"FinancialClaim(dim={self.dim})"
@@ -96,20 +96,6 @@ class PricingKernel:
 
     def __repr__(self) -> str:
         return f"PricingKernel(dim={self.dim}, discount={self.discount!r})"
-
-
-@dataclass(frozen=True)
-class PriceQuote:
-    """Observed market price for an identified claim."""
-
-    claim_id: str
-    observed_price: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.observed_price) or self.observed_price < 0.0:
-            raise ValidationError(
-                f"quote {self.claim_id!r}: observed price must be finite and nonnegative"
-            )
 
 
 @dataclass(frozen=True)
@@ -195,7 +181,7 @@ def claim_combine(
             f"claims of dimension {first.dim} and {second.dim}"
         )
     combined = a * first.as_operator(tol=tol).entries + b * second.as_operator(tol=tol).entries
-    spectrum = eigendecompose(HermitianOperator(combined, tol=tol), tol=tol)
+    spectrum = eigendecompose(_trusted(HermitianOperator, combined), tol=tol)
     payouts = spectrum.eigenvalues.copy()
     tiny = (payouts < 0.0) & (payouts >= -tol.psd)
     payouts[tiny] = 0.0
@@ -237,7 +223,7 @@ def check_axioms(
     for label, probed in (("physical", state), ("pricing", kernel.q)):
         vals, vecs = np.linalg.eigh(probed.entries)
         if (vals < tol.null_space).any():
-            eigenbasis = MeasurementBasis(vecs.T.copy(), tol=tol)
+            eigenbasis = _trusted(MeasurementBasis, vecs.T.copy())
             for j in np.flatnonzero(vals < tol.null_space):
                 probes.append(
                     (

@@ -46,6 +46,23 @@ def _complex_square(entries, what: str) -> np.ndarray:
     return arr
 
 
+def _trusted(cls, arr: np.ndarray):
+    # Takes only a freshly computed array derived from checked objects; freezes it, checks nothing.
+    obj = object.__new__(cls)
+    arr.setflags(write=False)
+    setattr(obj, "vectors" if cls is MeasurementBasis else "entries", arr)
+    return obj
+
+
+def _eigenvalue_array(eigenvalues, dim: int) -> np.ndarray:
+    vals = np.asarray(eigenvalues, dtype=float)
+    if vals.ndim != 1 or vals.shape[0] != dim:
+        raise DimensionMismatchError(f"{vals.size} eigenvalues for a dimension-{dim} basis")
+    if not np.isfinite(vals).all():
+        raise ValidationError("eigenvalues must be finite")
+    return vals
+
+
 class HermitianOperator:
     """Square complex matrix equal to its conjugate transpose within tolerance.
 
@@ -128,13 +145,7 @@ class Spectrum:
     basis: MeasurementBasis
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if vals.ndim != 1 or vals.shape[0] != self.basis.dim:
-            raise DimensionMismatchError(
-                f"{vals.size} eigenvalues for a dimension-{self.basis.dim} basis"
-            )
-        if not np.isfinite(vals).all():
-            raise ValidationError("eigenvalues must be finite")
+        vals = _eigenvalue_array(self.eigenvalues, self.basis.dim)
         if (np.diff(vals) < 0).any():
             raise ValidationError("spectrum eigenvalues must be ascending")
         vals.setflags(write=False)
@@ -145,30 +156,26 @@ def standard_basis(n: int, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Measureme
     """Computational basis of dimension ``n``."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    return MeasurementBasis(np.eye(int(n), dtype=complex), tol=tol)
+    return _trusted(MeasurementBasis, np.eye(int(n), dtype=complex))
 
 
 def identity_operator(n: int, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    return HermitianOperator(np.eye(int(n), dtype=complex), tol=tol)
+    return _trusted(HermitianOperator, np.eye(int(n), dtype=complex))
 
 
 def from_spectrum(
     eigenvalues, basis: MeasurementBasis, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> HermitianOperator:
     """Assemble sum_j eigenvalues[j] |v_j><v_j| over the given basis."""
-    vals = np.asarray(eigenvalues, dtype=float)
-    if vals.ndim != 1 or vals.shape[0] != basis.dim:
-        raise DimensionMismatchError(
-            f"{vals.size} eigenvalues for a dimension-{basis.dim} basis"
-        )
-    if not np.isfinite(vals).all():
-        raise ValidationError("eigenvalues must be finite")
-    vectors = basis.vectors
+    return _assemble(_eigenvalue_array(eigenvalues, basis.dim), basis.vectors)
+
+
+def _assemble(vals: np.ndarray, vectors: np.ndarray) -> HermitianOperator:
     out = (vectors.T * vals) @ vectors.conj()
     out = (out + out.conj().T) / 2.0  # kill rounding asymmetry; Hermitian by construction
-    return HermitianOperator(out, tol=tol)
+    return _trusted(HermitianOperator, out)
 
 
 def eigendecompose(
@@ -183,12 +190,24 @@ def eigendecompose(
         vals, vecs = np.linalg.eigh(operator.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    basis = MeasurementBasis(vecs.T.copy(), tol=tol)
-    recon = from_spectrum(vals, basis, tol=tol)
-    err = float(np.abs(recon.entries - operator.entries).max())
+    basis = _trusted(MeasurementBasis, vecs.T.copy())
+    err = float(np.abs(_assemble(vals, basis.vectors).entries - operator.entries).max())
     if err > tol.reconstruction:
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
-    return Spectrum(np.asarray(vals, dtype=float), basis)
+    return Spectrum(vals, basis)
+
+
+def _quadratic_forms(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # <v|state|v> for every row v of ``rows``.
+    return ((rows.conj() @ state) * rows).sum(axis=1).real
+
+
+def _probabilities(values: np.ndarray, tol: Tolerances) -> np.ndarray:
+    low, high = values.min(), values.max()
+    if low < -tol.psd or high > 1.0 + tol.psd:
+        worst = low if low < -tol.psd else high
+        raise NumericalError(f"Born probability {worst:.6g} lies outside [0, 1]")
+    return np.clip(values, 0.0, 1.0)
 
 
 def born_probability(
@@ -205,10 +224,7 @@ def born_probability(
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tol.orthonormality:
         raise ValidationError(f"outcome vector is not normalized: |v| = {norm:.12g}")
-    value = float(np.real(v.conj() @ state.entries @ v))
-    if value < -tol.psd or value > 1.0 + tol.psd:
-        raise NumericalError(f"Born probability {value:.6g} lies outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
+    return float(_probabilities(_quadratic_forms(state.entries, v[None, :]), tol)[0])
 
 
 def basis_marginals(
@@ -219,11 +235,7 @@ def basis_marginals(
         raise DimensionMismatchError(
             f"dimension-{basis.dim} basis against a dimension-{state.dim} state"
         )
-    vectors = basis.vectors
-    vals = np.einsum("ja,ab,jb->j", vectors.conj(), state.entries, vectors).real
-    if vals.min() < -tol.psd or vals.max() > 1.0 + tol.psd:
-        raise NumericalError("a Born probability lies outside [0, 1]")
-    return np.clip(vals, 0.0, 1.0)
+    return _probabilities(_quadratic_forms(state.entries, basis.vectors), tol)
 
 
 def absolutely_continuous(
@@ -257,7 +269,7 @@ def tensor_product(
     a: HermitianOperator, b: HermitianOperator, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> HermitianOperator:
     """Kronecker product; row (j, j') of the result is index j * b.dim + j'."""
-    return HermitianOperator(np.kron(a.entries, b.entries), tol=tol)
+    return _trusted(HermitianOperator, np.kron(a.entries, b.entries))
 
 
 def partial_trace(
@@ -275,14 +287,9 @@ def partial_trace(
         raise DimensionMismatchError(
             f"factor dimensions {n}x{m} do not compose to operator dimension {operator.dim}"
         )
-    blocks = operator.entries.reshape(n, m, n, m)
-    if keep == "first":
-        out = np.einsum("ajbj->ab", blocks)
-    elif keep == "second":
-        out = np.einsum("jajb->ab", blocks)
-    else:
+    if keep not in ("first", "second"):
         raise ValidationError(f'keep must be "first" or "second", got {keep!r}')
-    return HermitianOperator(out, tol=tol)
+    return subsystem_marginal(operator, (n, m), 0 if keep == "first" else 1, tol=tol)
 
 
 def subsystem_marginal(
@@ -302,14 +309,11 @@ def subsystem_marginal(
         )
     if not 0 <= index < len(dims):
         raise ValidationError(f"subsystem index {index} out of range for {len(dims)} factors")
+    # Row index = (before, kept, after); sum the diagonals of "before" and "after".
     before = int(np.prod(dims[:index], initial=1))
     after = int(np.prod(dims[index + 1 :], initial=1))
-    out = operator
-    if before > 1:
-        out = partial_trace(out, (before, dims[index] * after), "second", tol=tol)
-    if after > 1:
-        out = partial_trace(out, (dims[index], after), "first", tol=tol)
-    return out
+    blocks = operator.entries.reshape(before, dims[index], after, before, dims[index], after)
+    return _trusted(HermitianOperator, np.einsum("aibajb->ij", blocks))
 
 
 def evolve(
@@ -331,5 +335,4 @@ def evolve(
     phases = np.exp(1j * vals * t)
     unitary = (vecs * phases) @ vecs.conj().T
     out = unitary @ state.entries @ unitary.conj().T
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out, tol=tol)
+    return _trusted(DensityMatrix, (out + out.conj().T) / 2.0)

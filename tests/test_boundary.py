@@ -1,0 +1,124 @@
+"""Input is checked once, where it enters; values derived from it are trusted.
+
+The first group rebuilds library-derived values through the public gates
+they no longer pass through, so a derivation that drifts out of them
+shows up here.  The second group counts validating constructions and pins
+that derived values skip the gates.
+"""
+
+import numpy as np
+import pytest
+
+import qclaim as qc
+from helpers import random_basis, random_density, random_hermitian, spanning_quotes
+from test_kochen_specker import peres_system
+
+TOL = qc.DEFAULT_TOLERANCES
+DIMS = range(1, 9)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_spectral_values_pass_the_gates(n):
+    rng = np.random.default_rng(100 + n)
+    spectrum = qc.eigendecompose(random_hermitian(rng, n))
+    qc.MeasurementBasis(spectrum.basis.vectors)
+    basis = random_basis(rng, n)
+    claim = qc.FinancialClaim(basis, rng.uniform(0.0, 2.0, size=n))
+    qc.HermitianOperator(qc.from_spectrum(rng.normal(size=n), basis).entries)
+    qc.HermitianOperator(claim.as_operator().entries)
+    legs = [random_hermitian(rng, n), random_hermitian(rng, 3)]
+    qc.HermitianOperator(qc.tensor_product(*legs).entries)
+    qc.HermitianOperator(qc.portfolio_observable(*legs, (2.0, -0.5)).as_operator().entries)
+    qc.HermitianOperator(qc.nparty_portfolio_operator(legs + legs[:1], [2.0, -0.5, 1.0]).entries)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_combined_claim_reproduces_the_weighted_sum(n):
+    rng = np.random.default_rng(200 + n)
+    basis = random_basis(rng, n)
+    first = qc.FinancialClaim(basis, rng.uniform(0.0, 2.0, size=n))
+    second = qc.FinancialClaim(basis, rng.uniform(0.0, 2.0, size=n))
+    for a, b in ((1.0, 1.0), (0.5, 2.0)):
+        combined = qc.claim_combine(a, first, b, second)
+        expected = a * first.as_operator().entries + b * second.as_operator().entries
+        gap = np.abs(combined.as_operator().entries - expected).max()
+        assert gap <= TOL.reconstruction
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_reduced_and_evolved_states_pass_the_gate(n):
+    rng = np.random.default_rng(300 + n)
+    rho = random_density(rng, 2 * n)
+    for keep in ("first", "second"):
+        qc.DensityMatrix(qc.partial_trace(rho, (n, 2), keep).entries)
+        qc.DensityMatrix(qc.TwoPartyState((2, n), rho).marginal(keep).entries)
+    triple = random_density(rng, 6 * n)
+    for index in range(3):
+        qc.DensityMatrix(qc.subsystem_marginal(triple, (2, n, 3), index).entries)
+    parts = [(w, random_density(rng, 2), random_density(rng, n)) for w in (0.3, 0.7)]
+    qc.DensityMatrix(qc.separable_mixture(parts).rho.entries)
+    qc.DensityMatrix(qc.product_state(*parts[0][1:]).rho.entries)
+    evolved = qc.evolve(rho, random_hermitian(rng, 2 * n), float(rng.normal()))
+    qc.DensityMatrix(evolved.entries)
+
+
+def test_menu_probabilities_are_ray_born_weights():
+    system = peres_system()
+    rng = np.random.default_rng(400)
+    state = random_density(rng, 4)
+    menu = qc.ContractMenu(system, np.ones((len(system.bases), 4)), state)
+    probabilities = qc.menu_probabilities(menu)
+    for row, basis in zip(probabilities, system.bases):
+        for value, rid in zip(row, basis.ray_ids):
+            ray = system.ray(rid)
+            v = np.array(ray.components, dtype=complex)
+            expected = float(np.real(v.conj() @ state.entries @ v)) / ray.norm_squared()
+            assert value == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Names of the validating constructors run since the last ``clear()``."""
+    calls = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            if type(self) is cls:  # a subclass chaining up is one construction
+                calls.append(cls.__name__)
+            return init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in (qc.HermitianOperator, qc.DensityMatrix, qc.MeasurementBasis):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    return calls
+
+
+def test_derived_values_skip_the_gates(constructions):
+    rng = np.random.default_rng(500)
+    n = 4
+    state = random_density(rng, n, rank=3)
+    kernel = qc.PricingKernel(0.9, random_density(rng, n, rank=2))
+    basis = random_basis(rng, n)
+    claims = [qc.FinancialClaim(basis, rng.uniform(0.1, 2.0, size=n)) for _ in range(2)]
+    operator = random_hermitian(rng, n)
+    joint = random_density(rng, 2 * n)
+    constructions.clear()
+
+    qc.check_axioms(kernel, state, claims)
+    qc.claim_combine(1.0, claims[0], 2.0, claims[1])
+    qc.eigendecompose(operator)
+    qc.from_spectrum(np.arange(n, dtype=float), basis)
+    qc.partial_trace(joint, (n, 2), "second")
+    assert constructions == []
+
+
+def test_calibration_gates_only_the_recovered_state(constructions):
+    rng = np.random.default_rng(600)
+    kernel = qc.PricingKernel(0.95, random_density(rng, 3))
+    quotes = spanning_quotes(rng, kernel)
+    constructions.clear()
+    qc.calibrate(3, 0.95, quotes)
+    assert constructions == ["DensityMatrix"]

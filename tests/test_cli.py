@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
     assert proc.returncode == 0
     report = json.loads(out.read_text())
@@ -263,6 +265,20 @@ def test_calibrate_dimension_bounds(n, tmp_path, capsys):
     assert cli.run("calibrate", write_scenario(tmp_path, document), out_path=str(out)) == 2
     assert not out.exists()
     assert "payload.n" in error_record(capsys)["message"]
+
+
+@pytest.mark.parametrize("trials", [0, 10_001, 10**9])
+def test_optimize_verify_trials_bounds(trials, tmp_path, capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("verify_optimality ran on a rejected trial count")
+
+    monkeypatch.setattr(cli, "verify_optimality", no_draws)
+    document = json.loads((GOLDEN / "optimize.scenario.json").read_text())
+    document["payload"]["verify_trials"] = trials
+    out = tmp_path / "report.json"
+    assert cli.run("optimize", write_scenario(tmp_path, document), out_path=str(out)) == 2
+    assert not out.exists()
+    assert "payload.verify_trials" in error_record(capsys)["message"]
 
 
 @pytest.mark.parametrize(

@@ -35,13 +35,6 @@ def test_kernel_validation():
         qc.PricingKernel(1.2, q)
 
 
-def test_price_quote_record():
-    quote = qc.PriceQuote("callA", 1.25)
-    assert quote.claim_id == "callA"
-    with pytest.raises(qc.ValidationError):
-        qc.PriceQuote("bad", -0.1)
-
-
 def test_price_frozen_example():
     # 0.9 * (2 * 0.25 + 4 * 0.75) = 3.15
     kernel = qc.PricingKernel(0.9, diag_state(0.25, 0.75))
