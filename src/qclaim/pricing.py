@@ -24,6 +24,7 @@ from .quantum import (
     HermitianOperator,
     MeasurementBasis,
     _assemble,
+    _spectral_sum,
     _trusted,
     basis_marginals,
     eigendecompose,
@@ -180,8 +181,11 @@ def claim_combine(
         raise DimensionMismatchError(
             f"claims of dimension {first.dim} and {second.dim}"
         )
-    combined = a * first.as_operator(tol=tol).entries + b * second.as_operator(tol=tol).entries
-    spectrum = eigendecompose(_trusted(HermitianOperator, combined), tol=tol)
+    return _combine(a, first.as_operator(tol=tol).entries, b, second.as_operator(tol=tol).entries, tol)
+
+
+def _combine(a: float, x: np.ndarray, b: float, y: np.ndarray, tol: Tolerances) -> FinancialClaim:
+    spectrum = eigendecompose(_trusted(HermitianOperator, a * x + b * y), tol=tol)
     payouts = spectrum.eigenvalues.copy()
     tiny = (payouts < 0.0) & (payouts >= -tol.psd)
     payouts[tiny] = 0.0
@@ -250,17 +254,14 @@ def check_axioms(
     family = claims + [bond]
     labels = [f"claim {i}" for i in range(len(claims))] + ["bond"]
     operators = [c.as_operator(tol=tol).entries for c in family]
+    prices = [price(kernel, c, tol=tol) for c in family]
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if not _commute(operators[i], operators[j], tol):
                 continue
             for a, b in ((1.0, 1.0), (0.5, 2.0)):
-                combined = claim_combine(a, family[i], b, family[j], tol=tol)
-                gap = abs(
-                    price(kernel, combined, tol=tol)
-                    - a * price(kernel, family[i], tol=tol)
-                    - b * price(kernel, family[j], tol=tol)
-                )
+                combined = _combine(a, operators[i], b, operators[j], tol)
+                gap = abs(price(kernel, combined, tol=tol) - a * prices[i] - b * prices[j])
                 if gap > tol.price:
                     axiom2 = False
                     violations.append(
@@ -271,7 +272,7 @@ def check_axioms(
                     )
 
     # Axiom 3: the bond trades at the discount factor.
-    bond_gap = abs(price(kernel, bond, tol=tol) - kernel.discount)
+    bond_gap = abs(prices[-1] - kernel.discount)
     axiom3 = bond_gap <= tol.price
     if not axiom3:
         violations.append(("axiom 3: bond price differs from discount factor", float(bond_gap)))
@@ -279,29 +280,29 @@ def check_axioms(
     return AxiomReport(axiom1, axiom2, axiom3, tuple(violations))
 
 
-def _inner_product_row(operator: np.ndarray, n: int) -> np.ndarray:
-    # Real coordinates of X in the trace pairing: tr(qX) is linear in the
-    # n^2 real parameters (diagonal, then re/im of each upper entry) of q.
-    row = np.empty(n * n)
-    row[:n] = operator.diagonal().real
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            row[k] = 2.0 * operator[j, i].real
-            row[k + 1] = -2.0 * operator[j, i].imag
-            k += 2
-    return row
+def _design_matrix(claims, n: int) -> np.ndarray:
+    # Row k: the real coordinates of X_k in the trace pairing.  tr(qX) is linear in
+    # q's diagonal and the re/im of its upper entries (row-major), with weights
+    # diag(X), 2 Re X[j, i] and -2 Im X[j, i].  The last row is the unit trace.
+    upper = np.triu_indices(n, 1)
+    payouts = np.array([c.payouts for c in claims]).reshape(-1, n)
+    products = _spectral_sum(payouts, np.array([c.basis.vectors for c in claims]).reshape(-1, n, n))
+    # Only the entries the rows read, symmetrised as _assemble does.
+    lower = (products[:, upper[1], upper[0]] + products[:, upper[0], upper[1]].conj()) / 2.0
+    system = np.zeros((len(claims) + 1, n * n))
+    system[:-1, :n] = products.diagonal(axis1=1, axis2=2).real
+    system[:-1, n::2] = 2.0 * lower.real
+    system[:-1, n + 1 :: 2] = -2.0 * lower.imag
+    system[-1, :n] = 1.0
+    return system
 
 
 def _hermitian_from_parameters(params: np.ndarray, n: int) -> np.ndarray:
+    upper = np.triu_indices(n, 1)
     out = np.zeros((n, n), dtype=complex)
     out[np.diag_indices(n)] = params[:n]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = params[k] + 1j * params[k + 1]
-            out[j, i] = params[k] - 1j * params[k + 1]
-            k += 2
+    out[upper] = params[n::2] + 1j * params[n + 1 :: 2]
+    out[upper[::-1]] = out[upper].conj()
     return out
 
 
@@ -328,7 +329,7 @@ def calibrate(
     d = float(bond_price)
     if not math.isfinite(d) or not 0.0 < d <= 1.0:
         raise ValidationError(f"bond price must lie in (0, 1], got {d!r}")
-    rows = []
+    claims = []
     rhs = []
     for idx, (claim, observed) in enumerate(quotes):
         if claim.dim != n:
@@ -338,20 +339,15 @@ def calibrate(
         value = float(observed)
         if not math.isfinite(value) or value < 0.0:
             raise ValidationError(f"quote {idx}: price must be finite and nonnegative, got {value!r}")
-        rows.append(_inner_product_row(claim.as_operator(tol=tol).entries, n))
+        claims.append(claim)
         rhs.append(value / d)
-    trace_row = np.zeros(n * n)
-    trace_row[:n] = 1.0
-    rows.append(trace_row)
-    rhs.append(1.0)
-    system = np.array(rows)
-    target = np.array(rhs)
-    rank = int(np.linalg.matrix_rank(system))
+    system = _design_matrix(claims, n)
+    target = np.array(rhs + [1.0])
+    solution, _, rank, _ = np.linalg.lstsq(system, target, rcond=None)
     if rank < n * n:
         raise CalibrationError(
             f"quote system is rank-deficient: rank {rank} of {n * n} Hermitian degrees of freedom"
         )
-    solution, *_ = np.linalg.lstsq(system, target, rcond=None)
     residual = float(np.abs(system @ solution - target).max())
     if residual > tol.calibration:
         raise CalibrationError(

@@ -172,8 +172,13 @@ def from_spectrum(
     return _assemble(_eigenvalue_array(eigenvalues, basis.dim), basis.vectors)
 
 
+def _spectral_sum(vals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    # sum_j vals[..., j] |v_j><v_j| for one basis or a (Q, n, n) stack of them; not yet symmetrised.
+    return (np.swapaxes(vectors, -1, -2) * vals[..., None, :]) @ vectors.conj()
+
+
 def _assemble(vals: np.ndarray, vectors: np.ndarray) -> HermitianOperator:
-    out = (vectors.T * vals) @ vectors.conj()
+    out = _spectral_sum(vals, vectors)
     out = (out + out.conj().T) / 2.0  # kill rounding asymmetry; Hermitian by construction
     return _trusted(HermitianOperator, out)
 
@@ -300,9 +305,9 @@ def subsystem_marginal(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> HermitianOperator:
     """Trace out all factors of a multipartite operator except ``dims[index]``."""
+    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+        raise ValidationError(f"factor dimensions must be positive integers, got {dims!r}")
     dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValidationError(f"factor dimensions must be positive, got {dims!r}")
     if int(np.prod(dims)) != operator.dim:
         raise DimensionMismatchError(
             f"factor dimensions {dims} do not compose to operator dimension {operator.dim}"

@@ -3,6 +3,7 @@ import pytest
 
 import qclaim as qc
 from helpers import random_basis, random_density, shared_support_pair, spanning_quotes
+from qclaim.pricing import _design_matrix
 
 
 def diag_state(*weights):
@@ -202,7 +203,7 @@ def test_calibrate_preserves_support():
 def test_calibrate_rejects_rank_deficient_quotes():
     basis = qc.standard_basis(2)
     quotes = [(qc.arrow_debreu(basis, 0), 0.4), (qc.arrow_debreu(basis, 1), 0.5)]
-    with pytest.raises(qc.CalibrationError, match="rank"):
+    with pytest.raises(qc.CalibrationError, match="rank 2 of 4"):
         qc.calibrate(2, 0.9, quotes)
 
 
@@ -242,3 +243,49 @@ def test_calibrated_kernel_reprices_quotes():
     recovered = qc.calibrate(4, 0.8, quotes)
     for claim, observed in quotes:
         assert qc.price(recovered, claim) == pytest.approx(observed, abs=1e-9)
+
+
+def _reference_row(operator, n):
+    # The per-entry loop the design matrix replaced: diagonal, then
+    # 2 Re / -2 Im of X[j, i] for each i < j in row-major order.
+    row = np.empty(n * n)
+    row[:n] = operator.diagonal().real
+    k = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            row[k] = 2.0 * operator[j, i].real
+            row[k + 1] = -2.0 * operator[j, i].imag
+            k += 2
+    return row
+
+
+def _reference_state(params, n):
+    out = np.zeros((n, n), dtype=complex)
+    out[np.diag_indices(n)] = params[:n]
+    k = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = params[k] + 1j * params[k + 1]
+            out[j, i] = params[k] - 1j * params[k + 1]
+            k += 2
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_design_matrix_matches_the_entry_loop(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        kernel = qc.PricingKernel(rng.uniform(0.3, 1.0), random_density(rng, n))
+        claims = [
+            qc.FinancialClaim(random_basis(rng, n), rng.uniform(0.0, 2.0, size=n))
+            for _ in range(n * n + int(rng.integers(0, 3)))
+        ]
+        quotes = [(c, qc.price(kernel, c)) for c in claims]
+        rows = [_reference_row(c.as_operator().entries, n) for c in claims]
+        rows.append(np.r_[np.ones(n), np.zeros(n * n - n)])
+        reference = np.array(rows)
+        assert np.array_equal(_design_matrix(claims, n), reference)
+        target = np.array([p / kernel.discount for _, p in quotes] + [1.0])
+        solution, *_ = np.linalg.lstsq(reference, target, rcond=None)
+        recovered = qc.calibrate(n, kernel.discount, quotes)
+        assert np.array_equal(recovered.q.entries, _reference_state(solution, n))

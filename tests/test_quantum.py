@@ -186,6 +186,17 @@ def test_subsystem_marginal_three_factors():
         assert np.allclose(got.entries, part.entries, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2.7, 3), (2, 3.0), (0, 6), (-2, -3)])
+def test_factor_dimensions_must_be_positive_integers(dims):
+    # Truncating 2.7 to 2 would trace a dimension-6 operator as a 2x3 split.
+    operator = qc.HermitianOperator(np.eye(6))
+    for index in (0, 1):
+        with pytest.raises(qc.ValidationError, match="positive integers"):
+            qc.subsystem_marginal(operator, dims, index)
+    with pytest.raises(qc.ValidationError, match="positive integers"):
+        qc.partial_trace(operator, dims, "first")
+
+
 def test_evolve_half_turn_flips_spin():
     # quarter-cycle phases under the x generator exchange the z outcomes
     generator = qc.HermitianOperator([[0.0, 0.5], [0.5, 0.0]])
