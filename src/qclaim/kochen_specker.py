@@ -8,8 +8,15 @@ mark each force an odd total).  A sample space of outcomes with one
 classical probability per ray would require such an assignment to exist
 for deterministic reasoning, which is exactly what fails here.
 
+Rays are integer vectors, so a tetrad's orthogonality is decided exactly
+in integer arithmetic.  Four pairwise-orthogonal nonzero rays in 4-space
+form an orthogonal basis, whose normalized projectors sum to the identity
+exactly; the floating-point completeness gap is therefore computed, and
+reported, only for a tetrad that fails the exact test.
+
 The same nine tetrads double as a menu of nine contracts, each paying on
-the four outcomes of its tetrad's measurement.
+the four outcomes of its tetrad's measurement.  A menu accepts only
+orthogonal tetrads, so each contract's outcome probabilities sum to one.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ __all__ = [
 ]
 
 _SEARCH_RAY_LIMIT = 30
+# Bound on |component|: every dot product and squared norm is at most
+# 2**42, so it is exact in int64 and float64 alike.
+_MAX_COMPONENT = 1 << 20
+# Ray pairs within a tetrad, in the order their dot products are reported.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # Nine tetrads of integer rays, listed vertex by vertex.  Rays are
 # unnormalized and identified up to overall sign; repeats across tetrads
@@ -67,14 +79,20 @@ class KSRay:
         if not isinstance(self.ray_id, int) or self.ray_id < 0:
             raise ValidationError(f"ray id must be a nonnegative integer, got {self.ray_id!r}")
         comps = self.components
-        if len(comps) != 4 or not all(isinstance(c, int) and not isinstance(c, bool) for c in comps):
+        ints = _four_ints(comps)
+        if ints is None:
             raise ValidationError(f"ray components must be 4 integers, got {comps!r}")
-        if all(c == 0 for c in comps):
+        if not any(ints):
             raise ValidationError(f"ray {self.ray_id} is the zero vector")
-        object.__setattr__(self, "components", tuple(int(c) for c in comps))
+        if min(ints) < -_MAX_COMPONENT or max(ints) > _MAX_COMPONENT:
+            raise ValidationError(
+                f"ray {self.ray_id} has a component beyond the bound |c| <= 2**20"
+            )
+        object.__setattr__(self, "components", ints)
 
     def dot(self, other: "KSRay") -> int:
-        return sum(a * b for a, b in zip(self.components, other.components))
+        a, b = self.components, other.components
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
     def norm_squared(self) -> int:
         return self.dot(self)
@@ -88,15 +106,24 @@ class KSBasis:
 
     def __post_init__(self):
         ids = self.ray_ids
-        if len(ids) != 4 or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids):
+        ints = _four_ints(ids)
+        if ints is None:
             raise ValidationError(f"a tetrad must reference 4 ray ids, got {ids!r}")
-        if len(set(ids)) != 4:
+        if len(set(ints)) != 4:
             raise ValidationError(f"tetrad ray ids must be distinct, got {ids!r}")
-        object.__setattr__(self, "ray_ids", tuple(int(i) for i in ids))
+        object.__setattr__(self, "ray_ids", ints)
 
 
-def _same_up_to_sign(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return a == b or a == tuple(-c for c in b)
+def _four_ints(values) -> tuple[int, int, int, int] | None:
+    """``values`` as 4 plain ints, or None unless it holds 4 integers (bools excluded)."""
+    if len(values) != 4:
+        return None
+    a, b, c, d = values
+    if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+        return (a, b, c, d)
+    if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        return tuple(int(v) for v in values)
+    return None
 
 
 class KSSystem:
@@ -116,18 +143,26 @@ class KSSystem:
         if not rays or not bases:
             raise ValidationError("a system needs at least one ray and one tetrad")
         by_id: dict[int, KSRay] = {}
-        for ray in rays:
+        # One pass over the sign classes (first nonzero component positive).
+        # The clash reported is the one whose first ray comes earliest,
+        # paired with that class's second ray: the first pair i < j found
+        # by comparing every pair in order.
+        first_of: dict[tuple[int, ...], int] = {}
+        clash: tuple[int, int] | None = None
+        for position, ray in enumerate(rays):
             if not isinstance(ray, KSRay):
                 raise ValidationError(f"expected KSRay, got {type(ray).__name__}")
             if ray.ray_id in by_id:
                 raise ValidationError(f"duplicate ray id {ray.ray_id}")
             by_id[ray.ray_id] = ray
-        for i in range(len(rays)):
-            for j in range(i + 1, len(rays)):
-                if _same_up_to_sign(rays[i].components, rays[j].components):
-                    raise ValidationError(
-                        f"rays {rays[i].ray_id} and {rays[j].ray_id} coincide up to sign"
-                    )
+            c = ray.components
+            key = c if (c[0] or c[1] or c[2] or c[3]) > 0 else (-c[0], -c[1], -c[2], -c[3])
+            first = first_of.setdefault(key, position)
+            if first != position and (clash is None or first < clash[0]):
+                clash = (first, position)
+        if clash is not None:
+            i, j = clash
+            raise ValidationError(f"rays {rays[i].ray_id} and {rays[j].ray_id} coincide up to sign")
         for b, basis in enumerate(bases):
             if not isinstance(basis, KSBasis):
                 raise ValidationError(f"expected KSBasis, got {type(basis).__name__}")
@@ -171,28 +206,41 @@ def cabello_system() -> KSSystem:
     return KSSystem(rays, bases)
 
 
+def _orthogonality_problems(system: KSSystem, b: int) -> list[str]:
+    """One message per pair of rays in tetrad ``b`` whose exact dot product is nonzero."""
+    members = [system.ray(rid) for rid in system.bases[b].ray_ids]
+    problems = []
+    for i, j in _PAIRS:
+        product = members[i].dot(members[j])
+        if product != 0:
+            problems.append(
+                f"tetrad {b}: rays {members[i].ray_id} and {members[j].ray_id} "
+                f"have dot product {product}"
+            )
+    return problems
+
+
 def structure_diagnostics(
     system: KSSystem, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[str]:
     """Every way the system fails the reference structure; empty when sound.
 
-    Checks exact integer orthogonality within each tetrad, completeness of
-    each tetrad's normalized projectors, and the each-ray-in-exactly-two-
-    tetrads incidence pattern.
+    Checks exact integer orthogonality within each tetrad and the
+    each-ray-in-exactly-two-tetrads incidence pattern.  Four pairwise-
+    orthogonal nonzero rays in 4-space form an orthogonal basis, so their
+    normalized projectors sum to the identity exactly; the floating-point
+    completeness gap is computed, and reported beyond ``tol.completeness``,
+    only for a tetrad that fails the exact test.
     """
     problems: list[str] = []
     for b, basis in enumerate(system.bases):
-        members = [system.ray(rid) for rid in basis.ray_ids]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                product = members[i].dot(members[j])
-                if product != 0:
-                    problems.append(
-                        f"tetrad {b}: rays {members[i].ray_id} and {members[j].ray_id} "
-                        f"have dot product {product}"
-                    )
+        clashes = _orthogonality_problems(system, b)
+        if not clashes:
+            continue
+        problems.extend(clashes)
         total = np.zeros((4, 4))
-        for ray in members:
+        for rid in basis.ray_ids:
+            ray = system.ray(rid)
             v = np.array(ray.components, dtype=float)
             total += np.outer(v, v) / ray.norm_squared()
         gap = float(np.abs(total - np.eye(4)).max())
@@ -292,7 +340,8 @@ class ContractMenu:
     """One contract per tetrad: payouts on the tetrad's four outcomes.
 
     The state prices the outcome probabilities; the optional kernel allows
-    quoting each contract's present value.
+    quoting each contract's present value.  Every tetrad must be exactly
+    orthogonal, so that each contract's outcome probabilities sum to one.
     """
 
     __slots__ = ("system", "payout_tables", "state", "kernel")
@@ -323,6 +372,10 @@ class ContractMenu:
             raise DimensionMismatchError(f"menu state must have dimension 4, got {state.dim}")
         if kernel is not None and kernel.dim != 4:
             raise DimensionMismatchError(f"menu kernel must have dimension 4, got {kernel.dim}")
+        for b in range(len(system.bases)):
+            clashes = _orthogonality_problems(system, b)
+            if clashes:
+                raise ValidationError(clashes[0])
         table.setflags(write=False)
         self.system = system
         self.payout_tables = table

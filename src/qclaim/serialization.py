@@ -43,6 +43,10 @@ __all__ = [
     "render_json",
 ]
 
+# Bounds on a decoded Kochen-Specker system, checked before any row is read.
+_MAX_KS_RAYS = 1024
+_MAX_KS_TETRADS = 1024
+
 
 def require_keys(obj: Any, what: str, required=(), optional=()) -> dict:
     """Assert ``obj`` is a JSON object with exactly the expected keys."""
@@ -186,24 +190,33 @@ def ks_system_from_json(obj: Any, what: str) -> KSSystem:
     raw_rays = record["rays"]
     if not isinstance(raw_rays, list) or not raw_rays:
         raise ValidationError(f"{what}.rays must be a nonempty array")
+    if len(raw_rays) > _MAX_KS_RAYS:
+        raise ValidationError(f"{what}.rays holds {len(raw_rays)} rays, at most {_MAX_KS_RAYS} allowed")
     rays = []
     for i, comps in enumerate(raw_rays):
         if not isinstance(comps, list) or len(comps) != 4:
             raise ValidationError(f"{what}.rays[{i}] must be an array of 4 integers")
-        rays.append(
-            KSRay(i, tuple(int_from_json(c, f"{what}.rays[{i}][{k}]") for k, c in enumerate(comps)))
-        )
+        rays.append(KSRay(i, _int_row(comps, what, "rays", i)))
     raw_bases = record["bases"]
     if not isinstance(raw_bases, list) or not raw_bases:
         raise ValidationError(f"{what}.bases must be a nonempty array")
+    if len(raw_bases) > _MAX_KS_TETRADS:
+        raise ValidationError(
+            f"{what}.bases holds {len(raw_bases)} tetrads, at most {_MAX_KS_TETRADS} allowed"
+        )
     bases = []
     for b, ids in enumerate(raw_bases):
         if not isinstance(ids, list) or len(ids) != 4:
             raise ValidationError(f"{what}.bases[{b}] must be an array of 4 ray ids")
-        bases.append(
-            KSBasis(tuple(int_from_json(i, f"{what}.bases[{b}][{k}]") for k, i in enumerate(ids)))
-        )
+        bases.append(KSBasis(_int_row(ids, what, "bases", b)))
     return KSSystem(rays, bases)
+
+
+def _int_row(row: list, what: str, field: str, index: int) -> tuple:
+    """``row`` as a tuple of integers; per-entry paths are built only to name a bad entry."""
+    if type(row[0]) is int and type(row[1]) is int and type(row[2]) is int and type(row[3]) is int:
+        return tuple(row)
+    return tuple(int_from_json(c, f"{what}.{field}[{index}][{k}]") for k, c in enumerate(row))
 
 
 def ks_system_to_json(system: KSSystem) -> dict:
@@ -215,6 +228,10 @@ def ks_system_to_json(system: KSSystem) -> dict:
     }
 
 
+# What ``json.dumps`` applies to a str under its default ``ensure_ascii``.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValidationError(f"reports may not contain non-finite numbers, got {value!r}")
@@ -222,52 +239,62 @@ def _format_float(value: float) -> str:
 
 
 def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
-    pad = "  " * indent
-    child_pad = "  " * (indent + 1)
-    if isinstance(value, (bool, np.bool_)):
+    kind = type(value)
+    if kind is float:
+        pieces.append(_format_float(value))
+    elif kind is int:
+        pieces.append(str(value))
+    elif kind is str:
+        pieces.append(_quote(value))
+    elif kind is bool:
         pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(_format_float(float(value)))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
     elif value is None:
         pieces.append("null")
-    elif isinstance(value, dict):
-        items = sorted(value.items())
-        for key, _ in items:
-            if not isinstance(key, str):
-                raise ValidationError(f"report keys must be strings, got {key!r}")
+    elif kind is dict or kind is list or kind is tuple:
+        if kind is dict:
+            items = sorted(value.items())
+            for key, _ in items:
+                if not isinstance(key, str):
+                    raise ValidationError(f"report keys must be strings, got {key!r}")
+            opening, closing = "{", "}"
+        else:
+            items = value
+            opening, closing = "[", "]"
         if not items:
-            pieces.append("{}")
+            pieces.append(opening + closing)
             return
-        pieces.append("{")
-        for i, (key, item) in enumerate(items):
-            if pretty:
-                pieces.append("\n" + child_pad)
-            pieces.append(json.dumps(key) + (": " if pretty else ":"))
-            _render(item, pieces, indent + 1, pretty)
-            if i + 1 < len(items):
-                pieces.append(",")
+        pieces.append(opening)
         if pretty:
-            pieces.append("\n" + pad)
-        pieces.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            pieces.append("[]")
-            return
-        pieces.append("[")
+            child_pad = "\n" + "  " * (indent + 1)
+            colon = ": "
+        else:
+            colon = ":"
         for i, item in enumerate(items):
-            if pretty:
-                pieces.append("\n" + child_pad)
-            _render(item, pieces, indent + 1, pretty)
-            if i + 1 < len(items):
+            if i:
                 pieces.append(",")
+            if pretty:
+                pieces.append(child_pad)
+            if kind is dict:
+                key, item = item
+                pieces.append(_quote(key) + colon)
+            _render(item, pieces, indent + 1, pretty)
         if pretty:
-            pieces.append("\n" + pad)
-        pieces.append("]")
+            pieces.append("\n" + "  " * indent)
+        pieces.append(closing)
+    # numpy scalars and arrays, and subclasses of the builtin types, are
+    # converted to the builtin they stand for and rendered as above.
+    elif isinstance(value, (bool, np.bool_)):
+        _render(bool(value), pieces, indent, pretty)
+    elif isinstance(value, (int, np.integer)):
+        _render(int(value), pieces, indent, pretty)
+    elif isinstance(value, (float, np.floating)):
+        _render(float(value), pieces, indent, pretty)
+    elif isinstance(value, str):
+        pieces.append(_quote(value))
+    elif isinstance(value, dict):
+        _render(dict(value), pieces, indent, pretty)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        _render(list(value), pieces, indent, pretty)
     else:
         raise ValidationError(f"cannot serialize {type(value).__name__} into a report")
 

@@ -289,3 +289,67 @@ def test_ignored_keys_rejected(kind, key, value, tmp_path, capsys):
     document["payload"][key] = value
     assert cli.run(kind, write_scenario(tmp_path, document)) == 2
     assert key in error_record(capsys)["message"]
+
+
+def single_error_record(capsys):
+    """The one stderr line of a rejected run, with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def menu_scenario(rays, bases):
+    return {
+        "kind": "menu",
+        "payload": {
+            "system": {"rays": rays, "bases": bases},
+            "state": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)],
+            "payouts": [[1.0, 2.0, 3.0, 4.0]] * len(bases),
+        },
+    }
+
+
+def ks_scenario(rays, bases):
+    return {"kind": "ks", "payload": {"system": {"rays": rays, "bases": bases}}}
+
+
+@pytest.mark.parametrize(
+    "kind, component",
+    [("ks", 10**400), ("menu", 10**400), ("menu", 3037000500), ("ks", 2**20 + 1)],
+    ids=["ks-10**400", "menu-10**400", "menu-3037000500", "ks-2**20+1"],
+)
+def test_oversized_ray_components_exit_2(kind, component, tmp_path, capsys):
+    rays = [[component, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    build = ks_scenario if kind == "ks" else menu_scenario
+    out = tmp_path / "report.json"
+    assert cli.run(kind, write_scenario(tmp_path, build(rays, [[0, 1, 2, 3]])), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["exit_code"] == 2 and record["type"] == "validation"
+    assert record["message"] == "ray 0 has a component beyond the bound |c| <= 2**20"
+
+
+@pytest.mark.parametrize("kind", ["ks", "menu"])
+@pytest.mark.parametrize("field", ["rays", "bases"])
+def test_oversized_systems_exit_2(kind, field, tmp_path, capsys):
+    rays = [[1, k, 0, 0] for k in range(4000 if field == "rays" else 4)]
+    bases = [[0, 1, 2, 3]] * (4000 if field == "bases" else 1)
+    build = ks_scenario if kind == "ks" else menu_scenario
+    out = tmp_path / "report.json"
+    assert cli.run(kind, write_scenario(tmp_path, build(rays, bases)), out_path=str(out)) == 2
+    assert not out.exists()
+    message = single_error_record(capsys)["message"]
+    assert message.startswith(f"payload.system.{field} holds 4000 ")
+
+
+def test_menu_rejects_non_orthogonal_tetrads(tmp_path, capsys):
+    rays = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]
+    out = tmp_path / "report.json"
+    path = write_scenario(tmp_path, menu_scenario(rays, [[0, 1, 2, 3]]))
+    assert cli.run("menu", path, out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["type"] == "validation"
+    assert record["message"] == "tetrad 0: rays 0 and 1 have dot product 1"

@@ -25,6 +25,10 @@ def test_ray_validation():
         qc.KSRay(0, (1, 0, 0))
     with pytest.raises(qc.ValidationError):
         qc.KSRay(0, (True, False, False, False))
+    assert qc.KSRay(0, (2**20, -(2**20), 0, 1)).norm_squared() == 2**41 + 1
+    for big in (2**20 + 1, -(2**20) - 1, 3037000500, 10**400):
+        with pytest.raises(qc.ValidationError, match=r"\|c\| <= 2\*\*20"):
+            qc.KSRay(0, (1, 0, big, 0))
 
 
 def test_basis_validation():
@@ -45,6 +49,12 @@ def test_system_well_formedness():
         qc.KSSystem(
             rays + [qc.KSRay(9, (-1, -1, 0, 0))], [qc.KSBasis((0, 1, 2, 3))]
         )
+    # Two classes clash; the one whose first ray comes first is named,
+    # although the other class's clash is met first in ray order.
+    a, b = qc.KSRay(5, (1, 2, 0, 0)), qc.KSRay(6, (0, 0, 1, 0))
+    clashing = [a, b, qc.KSRay(7, (0, 0, -1, 0)), qc.KSRay(8, (-1, -2, 0, 0))]
+    with pytest.raises(qc.ValidationError, match="^rays 5 and 8 coincide up to sign$"):
+        qc.KSSystem(clashing, [qc.KSBasis((5, 6, 7, 8))])
 
 
 def test_embedded_system_shape():
@@ -244,6 +254,12 @@ def test_search_ray_limit():
 def test_menu_validation():
     system = qc.cabello_system()
     state = qc.DensityMatrix(np.eye(4) / 4.0)
+    staircase = qc.KSSystem(
+        [qc.KSRay(i, tuple(int(k <= i) for k in range(4))) for i in range(4)],
+        [qc.KSBasis((0, 1, 2, 3))],
+    )
+    with pytest.raises(qc.ValidationError, match="^tetrad 0: rays 0 and 1 have dot product 1$"):
+        qc.ContractMenu(staircase, np.ones((1, 4)), state)
     with pytest.raises(qc.DimensionMismatchError):
         qc.ContractMenu(system, np.ones((8, 4)), state)
     with pytest.raises(qc.ValidationError):
@@ -323,3 +339,119 @@ def test_menu_prices_require_kernel():
     kernel = qc.PricingKernel(0.9, state)
     priced = qc.ContractMenu(qc.cabello_system(), np.ones((9, 4)), state, kernel)
     assert np.allclose(qc.menu_prices(priced), 0.9, atol=1e-12)
+
+
+# ------------------------------------------------- references for the checks
+
+
+def reference_system_error(rays, bases):
+    """Message of the first well-formedness fault, comparing every ray pair in order."""
+    seen = set()
+    for ray in rays:
+        if ray.ray_id in seen:
+            return f"duplicate ray id {ray.ray_id}"
+        seen.add(ray.ray_id)
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            a, b = rays[i].components, rays[j].components
+            if a == b or a == tuple(-c for c in b):
+                return f"rays {rays[i].ray_id} and {rays[j].ray_id} coincide up to sign"
+    for b, basis in enumerate(bases):
+        for rid in basis.ray_ids:
+            if rid not in seen:
+                return f"tetrad {b} references unknown ray id {rid}"
+    return None
+
+
+def reference_structure_diagnostics(system, tol=qc.DEFAULT_TOLERANCES):
+    """Integer orthogonality and float completeness on every tetrad, then incidence."""
+    problems = []
+    for b, basis in enumerate(system.bases):
+        members = [system.ray(rid) for rid in basis.ray_ids]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                product = sum(x * y for x, y in zip(members[i].components, members[j].components))
+                if product != 0:
+                    problems.append(
+                        f"tetrad {b}: rays {members[i].ray_id} and {members[j].ray_id} "
+                        f"have dot product {product}"
+                    )
+        total = np.zeros((4, 4))
+        for ray in members:
+            v = np.array(ray.components, dtype=float)
+            total += np.outer(v, v) / float(v @ v)
+        gap = float(np.abs(total - np.eye(4)).max())
+        if gap > tol.completeness:
+            problems.append(f"tetrad {b}: projectors sum to identity only within {gap:.3e}")
+    for rid, hits in sorted(system.incidence().items()):
+        if len(hits) != 2:
+            problems.append(f"ray {rid} appears in {len(hits)} tetrads, expected 2")
+    return problems
+
+
+def random_ray_system(rng, peres_tetrads):
+    """4-14 rays with components in {-1, 0, 1, 2}, sometimes seeded with an
+    orthogonal Peres tetrad (random signs) and a negated copy of a ray."""
+    comps = []
+    if rng.random() < 0.5:
+        tetrad = peres_tetrads[int(rng.integers(len(peres_tetrads)))]
+        comps += [tuple(int(s) * c for c in ray) for s, ray in zip(rng.choice([-1, 1], 4), tetrad)]
+    while len(comps) < int(rng.integers(4, 15)):
+        candidate = tuple(int(c) for c in rng.choice([-1, 0, 1, 2], size=4))
+        if any(candidate):
+            comps.append(candidate)
+    if rng.random() < 0.2:
+        comps.append(tuple(-c for c in comps[int(rng.integers(len(comps)))]))
+    order = rng.permutation(len(comps))
+    ids = [int(k) for k in rng.choice(100, size=len(comps), replace=False)]
+    rays = [qc.KSRay(ids[k], comps[int(order[k])]) for k in range(len(comps))]
+    bases = []
+    for _ in range(int(rng.integers(1, 6))):
+        if rng.random() < 0.5:
+            # the rays of the seeded tetrad, wherever they landed
+            picked = [k for k in range(len(comps)) if int(order[k]) < 4][:4]
+            if len(picked) < 4:
+                picked = list(rng.choice(len(comps), size=4, replace=False))
+        else:
+            picked = list(rng.choice(len(comps), size=4, replace=False))
+        bases.append(qc.KSBasis(tuple(ids[int(k)] for k in picked)))
+    if rng.random() < 0.05:
+        bases.append(qc.KSBasis((ids[0], ids[1], ids[2], 1000)))
+    return rays, bases
+
+
+def test_checks_match_the_pairwise_and_float_references():
+    rng = np.random.default_rng(61)
+    peres = peres_system()
+    peres_tetrads = [[peres.ray(rid).components for rid in b.ray_ids] for b in peres.bases]
+    seen = {"clash": 0, "unknown": 0, "orthogonal": 0, "not orthogonal": 0, "several classes": 0}
+    for _ in range(2000):
+        rays, bases = random_ray_system(rng, peres_tetrads)
+        expected = reference_system_error(rays, bases)
+        if expected is not None:
+            with pytest.raises(qc.ValidationError) as caught:
+                qc.KSSystem(rays, bases)
+            assert str(caught.value) == expected
+            seen["clash" if "sign" in expected else "unknown"] += 1
+            keys = [max(r.components, tuple(-c for c in r.components)) for r in rays]
+            seen["several classes"] += sum(keys.count(k) > 1 for k in set(keys)) > 1
+            continue
+        system = qc.KSSystem(rays, bases)
+        problems = qc.structure_diagnostics(system)
+        assert problems == reference_structure_diagnostics(system)
+        for b in range(len(bases)):
+            sound = not any(p.startswith(f"tetrad {b}:") for p in problems)
+            seen["orthogonal" if sound else "not orthogonal"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_sound_tetrads_take_no_float_work(monkeypatch):
+    def no_outer(*args, **kwargs):
+        raise AssertionError("float completeness computed for an orthogonal tetrad")
+
+    monkeypatch.setattr(np, "outer", no_outer)
+    assert qc.structure_diagnostics(qc.cabello_system()) == []
+    # Peres's rays each sit in four tetrads, which only the incidence rule flags.
+    problems = qc.structure_diagnostics(peres_system())
+    assert len(problems) == 24
+    assert all(p.endswith("appears in 4 tetrads, expected 2") for p in problems)

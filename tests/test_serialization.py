@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +163,199 @@ def test_render_json_pretty_parses_back():
 def test_render_json_rejects_non_string_keys():
     with pytest.raises(qc.ValidationError):
         render_json({1: "x"})
+
+
+# ------------------------------------------------ references for the walkers
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def reference_render_json(value, pretty=False):
+    """Report rendering by one isinstance test per value."""
+    pieces = []
+
+    def walk(value, indent):
+        pad = "  " * indent
+        child_pad = "  " * (indent + 1)
+        if isinstance(value, (bool, np.bool_)):
+            pieces.append("true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            pieces.append(str(int(value)))
+        elif isinstance(value, (float, np.floating)):
+            value = float(value)
+            if not math.isfinite(value):
+                raise qc.ValidationError(f"reports may not contain non-finite numbers, got {value!r}")
+            pieces.append(format(value, ".17g"))
+        elif isinstance(value, str):
+            pieces.append(json.dumps(value))
+        elif value is None:
+            pieces.append("null")
+        elif isinstance(value, dict):
+            items = sorted(value.items())
+            for key, _ in items:
+                if not isinstance(key, str):
+                    raise qc.ValidationError(f"report keys must be strings, got {key!r}")
+            if not items:
+                pieces.append("{}")
+                return
+            pieces.append("{")
+            for i, (key, item) in enumerate(items):
+                if pretty:
+                    pieces.append("\n" + child_pad)
+                pieces.append(json.dumps(key) + (": " if pretty else ":"))
+                walk(item, indent + 1)
+                if i + 1 < len(items):
+                    pieces.append(",")
+            if pretty:
+                pieces.append("\n" + pad)
+            pieces.append("}")
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            items = list(value)
+            if not items:
+                pieces.append("[]")
+                return
+            pieces.append("[")
+            for i, item in enumerate(items):
+                if pretty:
+                    pieces.append("\n" + child_pad)
+                walk(item, indent + 1)
+                if i + 1 < len(items):
+                    pieces.append(",")
+            if pretty:
+                pieces.append("\n" + pad)
+            pieces.append("]")
+        else:
+            raise qc.ValidationError(f"cannot serialize {type(value).__name__} into a report")
+
+    walk(value, 0)
+    return "".join(pieces)
+
+
+def random_report_value(rng, depth=0):
+    """Nested report values mixing builtins, numpy scalars and arrays, tuples and empties."""
+    leaves = (
+        lambda: float(rng.normal() * 10.0 ** int(rng.integers(-20, 20))),
+        lambda: int(rng.integers(-(10**6), 10**6)),
+        lambda: bool(rng.random() < 0.5),
+        lambda: None,
+        lambda: "sé\"\\\n" * int(rng.integers(0, 3)),
+        lambda: np.float64(rng.normal()),
+        lambda: np.float32(rng.normal()),
+        lambda: np.int64(rng.integers(-50, 50)),
+        lambda: np.bool_(rng.random() < 0.5),
+        lambda: rng.normal(size=int(rng.integers(0, 4))),
+        lambda: rng.integers(0, 9, size=(2, int(rng.integers(0, 3)))),
+    )
+    pick = int(rng.integers(0, len(leaves) + (4 if depth < 4 else 0)))
+    if pick < len(leaves):
+        return leaves[pick]()
+    size = int(rng.integers(0, 5))
+    items = [random_report_value(rng, depth + 1) for _ in range(size)]
+    if pick == len(leaves):
+        return {f"k{int(rng.integers(0, 50))}": item for item in items}
+    if pick == len(leaves) + 1:
+        return tuple(items)
+    return items
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_render_matches_the_isinstance_reference(pretty):
+    for path in sorted(GOLDEN.glob("*.report.json")):
+        report = json.loads(path.read_text())
+        assert render_json(report, pretty=pretty) == reference_render_json(report, pretty=pretty)
+        if not pretty:
+            assert render_json(report) + "\n" == path.read_text()
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        value = random_report_value(rng)
+        assert render_json(value, pretty=pretty) == reference_render_json(value, pretty=pretty)
+    assert render_json([True, 1, np.True_, np.int8(1), 1.0]) == "[true,1,true,1,1]"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": [1.0, float("nan")]},
+        (np.float64("inf"),),
+        {"a": {2: "x"}},
+        [np.float32("-inf")],
+        {"a": {1, 2}},
+        np.array(1.5),
+    ],
+)
+def test_render_rejections_match_the_reference(value):
+    with pytest.raises((qc.ValidationError, TypeError)) as expected:
+        reference_render_json(value)
+    with pytest.raises(expected.type) as caught:
+        render_json(value)
+    assert str(caught.value) == str(expected.value)
+
+
+def reference_ks_system_from_json(obj, what):
+    """The system decoder that builds a path string for every entry."""
+    record = require_keys(obj, what, required=("rays", "bases"))
+    raw_rays = record["rays"]
+    if not isinstance(raw_rays, list) or not raw_rays:
+        raise qc.ValidationError(f"{what}.rays must be a nonempty array")
+    rays = []
+    for i, comps in enumerate(raw_rays):
+        if not isinstance(comps, list) or len(comps) != 4:
+            raise qc.ValidationError(f"{what}.rays[{i}] must be an array of 4 integers")
+        rays.append(
+            qc.KSRay(i, tuple(int_from_json(c, f"{what}.rays[{i}][{k}]") for k, c in enumerate(comps)))
+        )
+    raw_bases = record["bases"]
+    if not isinstance(raw_bases, list) or not raw_bases:
+        raise qc.ValidationError(f"{what}.bases must be a nonempty array")
+    bases = []
+    for b, ids in enumerate(raw_bases):
+        if not isinstance(ids, list) or len(ids) != 4:
+            raise qc.ValidationError(f"{what}.bases[{b}] must be an array of 4 ray ids")
+        bases.append(
+            qc.KSBasis(tuple(int_from_json(i, f"{what}.bases[{b}][{k}]") for k, i in enumerate(ids)))
+        )
+    return qc.KSSystem(rays, bases)
+
+
+def test_ks_decoding_matches_the_per_entry_reference():
+    rng = np.random.default_rng(13)
+    spoilers = [True, 1.0, "1", None, [1], -3, 2**21, 0]
+    outcomes = set()
+    for _ in range(1000):
+        rays = [[int(c) for c in rng.integers(-2, 3, size=4)] for _ in range(int(rng.integers(1, 8)))]
+        bases = [[int(i) for i in rng.permutation(len(rays) + 2)[:4]] for _ in range(int(rng.integers(1, 4)))]
+        for _ in range(int(rng.integers(0, 3))):
+            rows = rays if rng.random() < 0.5 else bases
+            row = rows[int(rng.integers(len(rows)))]
+            if rng.random() < 0.15:
+                row.pop()
+            elif row:
+                row[int(rng.integers(len(row)))] = spoilers[int(rng.integers(len(spoilers)))]
+        document = {"rays": rays, "bases": bases}
+        try:
+            expected = reference_ks_system_from_json(document, "payload.system")
+        except qc.ValidationError as exc:
+            with pytest.raises(qc.ValidationError) as caught:
+                ks_system_from_json(document, "payload.system")
+            assert str(caught.value) == str(exc)
+            outcomes.add(str(exc).split(" ")[0].split("[")[0])
+            continue
+        system = ks_system_from_json(document, "payload.system")
+        assert [(r.ray_id, r.components) for r in system.rays] == [
+            (r.ray_id, r.components) for r in expected.rays
+        ]
+        assert [b.ray_ids for b in system.bases] == [b.ray_ids for b in expected.bases]
+        outcomes.add("decoded")
+    assert {"decoded", "payload.system.rays", "payload.system.bases", "ray", "tetrad", "rays"} <= outcomes
+
+
+@pytest.mark.parametrize("field", ["rays", "bases"])
+def test_ks_system_counts_are_bounded(field):
+    document = {
+        "rays": [[1, k, 0, 0] for k in range(1024)],
+        "bases": [[0, 1, 2, 3]] * 1024,
+    }
+    assert len(ks_system_from_json(document, "system").rays) == 1024
+    document[field] = document[field] + document[field][:1]
+    with pytest.raises(qc.ValidationError, match=f"^system.{field} holds 1025 "):
+        ks_system_from_json(document, "system")
