@@ -399,7 +399,7 @@ def run(
     digest = hashlib.sha256(raw).hexdigest()
     try:
         document = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also UnicodeDecodeError, JSONDecodeError and overlong integers
         return _fail(EXIT_VALIDATION, "validation", f"scenario is not valid JSON: {exc}")
     try:
         tol = tolerances_from_env()

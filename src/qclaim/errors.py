@@ -26,7 +26,7 @@ class CalibrationError(NumericalError):
 
 
 class SolverError(NumericalError):
-    """Root finding for the budget multiplier failed."""
+    """The budget multiplier or the payouts it implies lie beyond floating-point range."""
 
 
 class DegenerateMarginalError(NumericalError):

@@ -39,10 +39,7 @@ __all__ = [
     "kl_divergence",
 ]
 
-_BRACKET = (1e-12, 1e12)
-_BRACKET_LIMIT = (1e-300, 1e300)
-_EXPANSION = 1e3
-_MAX_BISECTIONS = 200
+_MULTIPLIER_RANGE = (1e-300, 1e300)
 
 
 @dataclass(frozen=True)
@@ -195,18 +192,17 @@ def solve_multiplier(
     budget: float,
     discount: float,
     utility: UtilityFunction,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
-    """Root of the budget equation by bracketing bisection.
+    """Multiplier that makes the payout schedule spend the budget, in closed form.
 
-    ``coefficients`` is a sequence of (pricing weight, slope ratio) pairs;
-    the budget map discount * sum_j I(multiplier * ratio_j) * weight_j is
-    strictly decreasing, so the bracket [1e-12, 1e12] is expanded
-    geometrically until it straddles the budget and then bisected at
-    geometric midpoints until the relative budget error drops below
-    tolerance.  Bisection is immune to the flat tails that defeat
-    Newton steps here.
+    ``coefficients`` is a sequence of (pricing weight, slope ratio) pairs
+    and the budget equation is discount * sum_j I(multiplier * ratio_j) *
+    weight_j = budget.  Both utility families invert marginal utility as
+    I(y) = y**(1 / (p - 1)), log utility being the exponent-0 member, so
+    the root is (budget / (discount * S))**(p - 1) with S = sum_j weight_j
+    * ratio_j**(1 / (p - 1)).  S is summed as a log-sum-exp so that
+    exponents near p = 1 do not overflow.  A multiplier outside
+    [1e-300, 1e300] raises ``SolverError``.
     """
     pairs = list(coefficients)
     if not pairs:
@@ -221,32 +217,18 @@ def solve_multiplier(
     if not 0.0 < float(discount) <= 1.0:
         raise ValidationError(f"discount factor must lie in (0, 1], got {discount!r}")
 
-    def spent(multiplier: float) -> float:
-        with np.errstate(over="ignore", divide="ignore"):
-            return float(discount) * float(utility.inverse_marginal(multiplier * ratios) @ weights)
-
-    lo, hi = _BRACKET
-    while spent(lo) < budget:
-        lo /= _EXPANSION
-        if lo < _BRACKET_LIMIT[0]:
-            raise SolverError("bracket expansion exhausted below; inputs are pathological")
-    while spent(hi) > budget:
-        hi *= _EXPANSION
-        if hi > _BRACKET_LIMIT[1]:
-            raise SolverError("bracket expansion exhausted above; inputs are pathological")
-    for _ in range(_MAX_BISECTIONS):
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        value = spent(mid)
-        if abs(value - budget) <= tol.solver_budget_rel * budget:
-            return mid
-        if value > budget:
-            lo = mid
-        else:
-            hi = mid
-    raise SolverError(
-        f"budget bisection did not reach relative error {tol.solver_budget_rel:g} "
-        f"in {_MAX_BISECTIONS} iterations"
+    slope_power = 0.0 if utility.kind == "log" else utility.exponent
+    log_sum = float(np.logaddexp.reduce(np.log(weights) + np.log(ratios) / (slope_power - 1.0)))
+    log_multiplier = (slope_power - 1.0) * (
+        math.log(budget) - math.log(float(discount)) - log_sum
     )
+    lo, hi = _MULTIPLIER_RANGE
+    if not math.log(lo) <= log_multiplier <= math.log(hi):
+        raise SolverError(
+            f"budget multiplier exp({log_multiplier:.6g}) lies outside [{lo:g}, {hi:g}]; "
+            "inputs are pathological"
+        )
+    return math.exp(log_multiplier)
 
 
 def _positive_marginals(
@@ -289,11 +271,14 @@ def optimal_payouts(
         )
     p_m, q_m = _positive_marginals(state, kernel, basis, tol)
     ratios = q_m / p_m
-    multiplier = solve_multiplier(
-        list(zip(q_m, ratios)), budget, kernel.discount, utility, tol=tol
-    )
-    payouts = np.asarray(utility.inverse_marginal(multiplier * ratios), dtype=float)
-    realized = kernel.discount * float(payouts @ q_m)
+    multiplier = solve_multiplier(list(zip(q_m, ratios)), budget, kernel.discount, utility)
+    with np.errstate(over="ignore", divide="ignore"):
+        payouts = np.asarray(utility.inverse_marginal(multiplier * ratios), dtype=float)
+        realized = kernel.discount * float(payouts @ q_m)
+    if not (np.isfinite(payouts).all() and math.isfinite(realized)):
+        raise SolverError(
+            f"multiplier {multiplier!r} gives payouts or a price beyond floating-point range"
+        )
     return OptimalInvestment(basis, payouts, multiplier, float(budget), realized, tol=tol)
 
 
@@ -342,9 +327,13 @@ def verify_optimality(
     p_m, q_m = _positive_marginals(state, kernel, candidate.basis, tol)
     base = float(utility.value(candidate.payouts) @ p_m)
     shares = rng.dirichlet(np.ones(candidate.basis.dim), size=int(trials))
-    alternatives = candidate.budget * shares / (kernel.discount * q_m)
     with np.errstate(divide="ignore", over="ignore"):
+        alternatives = candidate.budget * shares / (kernel.discount * q_m)
         scores = utility.value(alternatives) @ p_m
+    if np.isposinf(scores).any():
+        raise NumericalError(
+            "a random alternative payout overflowed; the budget is beyond floating-point range"
+        )
     return bool(np.all(scores <= base + tol.optimality))
 
 

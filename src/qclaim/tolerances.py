@@ -33,7 +33,6 @@ class Tolerances:
     additivity: float = 1e-10
     excess_identity: float = 1e-10
     optimality: float = 1e-9
-    solver_budget_rel: float = 1e-12
     completeness: float = 1e-12
 
     def scaled(self, factor: float) -> "Tolerances":

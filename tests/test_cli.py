@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -353,3 +354,51 @@ def test_menu_rejects_non_orthogonal_tetrads(tmp_path, capsys):
     record = single_error_record(capsys)
     assert record["type"] == "validation"
     assert record["message"] == "tetrad 0: rays 0 and 1 have dot product 1"
+
+
+SKEWED_Q = [[[1.0 - 1e-11, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-11, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "budget, q, message",
+    [
+        (1e305, None, "budget multiplier"),
+        (1.7e308, None, "budget multiplier"),
+        (1e299, SKEWED_Q, "beyond floating-point range"),
+        (5e297, SKEWED_Q, "alternative payout overflowed"),
+    ],
+    ids=["1e305", "1.7e308", "1e299-skewed", "5e297-skewed"],
+)
+def test_extreme_budgets_exit_3(budget, q, message, tmp_path, capsys):
+    document = json.loads((GOLDEN / "optimize.scenario.json").read_text())
+    document["payload"]["budget"] = budget
+    if q is not None:
+        document["payload"]["kernel"]["q"] = q
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run("optimize", write_scenario(tmp_path, document), out_path=str(out))
+    assert code == 3
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    record = single_error_record(capsys)
+    assert record["type"] == "numerical"
+    assert message in record["message"]
+
+
+def test_overlong_integer_literal_exits_2(tmp_path, capsys):
+    # json.loads refuses integer literals beyond Python's 4300-digit
+    # conversion limit with a plain ValueError, not a JSONDecodeError.
+    literal = "1" + "0" * 4999
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        '{"kind": "ks", "payload": {"system": {"rays": [[' + literal + ', 0, 0, 0], '
+        '[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "bases": [[0, 1, 2, 3]]}}}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.json"
+    assert cli.run("ks", str(path), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["type"] == "validation"
+    assert record["message"].startswith("scenario is not valid JSON")

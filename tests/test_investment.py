@@ -207,6 +207,17 @@ def test_solver_output_verifies_optimal(utility):
         assert qc.verify_optimality(plan, state, kernel, utility, trials=400, rng=rng)
 
 
+def test_verify_optimality_rejects_overflowing_alternatives():
+    # At budget 5e297 a pricing probability of 1e-11 makes random alternatives
+    # overflow; an infinite score must not count as beating the optimum.
+    state = diag_state(0.8, 0.2)
+    kernel = qc.PricingKernel(0.95, diag_state(1.0 - 1e-11, 1e-11))
+    log = qc.UtilityFunction.log()
+    plan = qc.optimal_payouts(state, kernel, qc.standard_basis(2), 5e297, log)
+    with pytest.raises(qc.NumericalError, match="overflowed"):
+        qc.verify_optimality(plan, state, kernel, log, trials=64)
+
+
 def test_flat_allocation_fails_verification():
     state = diag_state(0.8, 0.2)
     kernel = qc.PricingKernel(0.95, diag_state(0.5, 0.5))

@@ -33,3 +33,30 @@ def test_calibration_round_trip(drawn):
     assert np.abs(recovered.q.entries - kernel.q.entries).max() <= tol.calibration
     for claim, observed in quotes:
         assert abs(qc.price(recovered, claim) - observed) <= tol.calibration
+
+
+@st.composite
+def budget_problems(draw):
+    """Pricing weights, slope ratios, budget, discount and a utility."""
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    ratios = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    budget = draw(st.floats(1e-3, 1e3))
+    discount = draw(st.floats(0.05, 1.0, exclude_min=True))
+    exponent = draw(st.one_of(st.none(), st.floats(-5.0, 0.5).filter(lambda p: p != 0.0)))
+    utility = qc.UtilityFunction.log() if exponent is None else qc.UtilityFunction.power(exponent)
+    return np.array(weights), np.array(ratios), budget, discount, utility
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(budget_problems())
+def test_multiplier_spends_budget_and_meets_first_order_conditions(problem):
+    # The closed-form multiplier spends the budget, and with p_j = q_j / r_j
+    # every outcome's p_j u'(x_j) / q_j = u'(x_j) / r_j equals the multiplier.
+    weights, ratios, budget, discount, utility = problem
+    multiplier = qc.solve_multiplier(list(zip(weights, ratios)), budget, discount, utility)
+    payouts = utility.inverse_marginal(multiplier * ratios)
+    spent = discount * float(payouts @ weights)
+    assert abs(spent - budget) <= 1e-12 * budget
+    slopes = utility.marginal(payouts) / ratios
+    assert np.abs(slopes - multiplier).max() <= 1e-9 * multiplier
