@@ -275,7 +275,7 @@ def optimal_payouts(
     with np.errstate(over="ignore", divide="ignore"):
         payouts = np.asarray(utility.inverse_marginal(multiplier * ratios), dtype=float)
         realized = kernel.discount * float(payouts @ q_m)
-    if not (np.isfinite(payouts).all() and math.isfinite(realized)):
+    if not ((payouts > 0).all() and np.isfinite(payouts).all() and math.isfinite(realized)):
         raise SolverError(
             f"multiplier {multiplier!r} gives payouts or a price beyond floating-point range"
         )

@@ -22,6 +22,8 @@ orthogonal tetrads, so each contract's outcome probabilities sum to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -135,7 +137,7 @@ class KSSystem:
     verify_structure, so defective systems can be built and examined.
     """
 
-    __slots__ = ("rays", "bases", "_by_id")
+    __slots__ = ("rays", "bases", "_by_id", "_incidence")
 
     def __init__(self, rays, bases):
         rays = tuple(rays)
@@ -143,6 +145,7 @@ class KSSystem:
         if not rays or not bases:
             raise ValidationError("a system needs at least one ray and one tetrad")
         by_id: dict[int, KSRay] = {}
+        hits: dict[int, list[int]] = {}
         # One pass over the sign classes (first nonzero component positive).
         # The clash reported is the one whose first ray comes earliest,
         # paired with that class's second ray: the first pair i < j found
@@ -155,6 +158,7 @@ class KSSystem:
             if ray.ray_id in by_id:
                 raise ValidationError(f"duplicate ray id {ray.ray_id}")
             by_id[ray.ray_id] = ray
+            hits[ray.ray_id] = []
             c = ray.components
             key = c if (c[0] or c[1] or c[2] or c[3]) > 0 else (-c[0], -c[1], -c[2], -c[3])
             first = first_of.setdefault(key, position)
@@ -169,20 +173,18 @@ class KSSystem:
             for rid in basis.ray_ids:
                 if rid not in by_id:
                     raise ValidationError(f"tetrad {b} references unknown ray id {rid}")
+                hits[rid].append(b)
         self.rays = rays
         self.bases = bases
         self._by_id = by_id
+        self._incidence = MappingProxyType({rid: tuple(h) for rid, h in hits.items()})
 
     def ray(self, ray_id: int) -> KSRay:
         return self._by_id[ray_id]
 
-    def incidence(self) -> dict[int, tuple[int, ...]]:
-        """Map from ray id to the indices of the tetrads containing it."""
-        table: dict[int, list[int]] = {ray.ray_id: [] for ray in self.rays}
-        for b, basis in enumerate(self.bases):
-            for rid in basis.ray_ids:
-                table[rid].append(b)
-        return {rid: tuple(hits) for rid, hits in table.items()}
+    def incidence(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only map from ray id to the indices of the tetrads containing it."""
+        return self._incidence
 
     def __repr__(self) -> str:
         return f"KSSystem(rays={len(self.rays)}, bases={len(self.bases)})"
@@ -352,8 +354,6 @@ class ContractMenu:
         payout_tables,
         state: DensityMatrix,
         kernel: PricingKernel | None = None,
-        *,
-        tol: Tolerances = DEFAULT_TOLERANCES,
     ):
         try:
             table = np.array(payout_tables, dtype=float)

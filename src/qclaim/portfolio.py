@@ -58,9 +58,9 @@ class TwoPartyState:
         self.dims = (n, m)
         self.rho = rho
 
-    def marginal(self, which: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+    def marginal(self, which: str) -> DensityMatrix:
         """Reduced state of the "first" or "second" subsystem."""
-        return _trusted(DensityMatrix, partial_trace(self.rho, self.dims, which, tol=tol).entries)
+        return _trusted(DensityMatrix, partial_trace(self.rho, self.dims, which).entries)
 
     def __repr__(self) -> str:
         return f"TwoPartyState(dims={self.dims})"
@@ -84,13 +84,9 @@ class PortfolioObservable:
     def dims(self) -> tuple[int, int]:
         return (self.first.dim, self.second.dim)
 
-    def as_operator(self, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
+    def as_operator(self) -> HermitianOperator:
         """Materialize w1 * (first x id) + w2 * (id x second) on the joint space."""
-        n, m = self.dims
-        joint = self.weights[0] * np.kron(self.first.entries, np.eye(m)) + self.weights[
-            1
-        ] * np.kron(np.eye(n), self.second.entries)
-        return _trusted(HermitianOperator, joint)
+        return nparty_portfolio_operator((self.first, self.second), self.weights)
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,7 @@ class CorrelationReport:
             raise ValidationError("correlation report fields must be finite")
 
 
-def product_state(
-    first: DensityMatrix, second: DensityMatrix, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> TwoPartyState:
+def product_state(first: DensityMatrix, second: DensityMatrix) -> TwoPartyState:
     """Uncorrelated joint state: Kronecker product of the two factors."""
     joint = _trusted(DensityMatrix, np.kron(first.entries, second.entries))
     return TwoPartyState((first.dim, second.dim), joint)
@@ -194,22 +188,14 @@ def portfolio_expected_payout(
 ) -> float:
     """Expected portfolio payout, verified to split across subsystem marginals.
 
-    The joint-space expectation must agree with the weighted sum of
-    single-subsystem expectations for every state; disagreement beyond
-    tolerance signals a numerical fault, not a property of the state.
+    The two-leg case of ``nparty_expected_payout``: the joint-space
+    expectation must agree with the weighted sum of single-subsystem
+    expectations for every state; disagreement beyond tolerance signals a
+    numerical fault, not a property of the state.
     """
     _check_dims(state, observable)
-    joint = _real_trace_product(state.rho.entries, observable.as_operator(tol=tol).entries)
-    first = partial_trace(state.rho, state.dims, "first", tol=tol)
-    second = partial_trace(state.rho, state.dims, "second", tol=tol)
-    split = observable.weights[0] * _real_trace_product(
-        first.entries, observable.first.entries
-    ) + observable.weights[1] * _real_trace_product(second.entries, observable.second.entries)
-    if abs(joint - split) > tol.additivity * max(1.0, abs(joint)):
-        raise NumericalError(
-            f"additivity violated numerically: joint {joint!r} vs marginal split {split!r}"
-        )
-    return joint
+    legs = (observable.first, observable.second)
+    return nparty_expected_payout(state.rho, legs, observable.weights, tol=tol)
 
 
 def portfolio_price(
@@ -233,8 +219,6 @@ def payout_covariance(
     first: HermitianOperator,
     second: HermitianOperator,
     under: str = "physical",
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CorrelationReport:
     """Covariance of two one-per-subsystem payouts under the joint state.
 
@@ -247,8 +231,8 @@ def payout_covariance(
         raise DimensionMismatchError(
             f"observable dimensions {(first.dim, second.dim)} differ from state dimensions {state.dims}"
         )
-    reduced_first = partial_trace(state.rho, state.dims, "first", tol=tol)
-    reduced_second = partial_trace(state.rho, state.dims, "second", tol=tol)
+    reduced_first = partial_trace(state.rho, state.dims, "first")
+    reduced_second = partial_trace(state.rho, state.dims, "second")
     mean_first = _real_trace_product(reduced_first.entries, first.entries)
     mean_second = _real_trace_product(reduced_second.entries, second.entries)
     centered = np.kron(
@@ -259,10 +243,7 @@ def payout_covariance(
 
 
 def nparty_portfolio_operator(
-    operators: Sequence[HermitianOperator],
-    weights: Sequence[float],
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    operators: Sequence[HermitianOperator], weights: Sequence[float]
 ) -> HermitianOperator:
     """Sum of weighted one-per-subsystem positions on an N-fold joint space."""
     ops = list(operators)
@@ -292,7 +273,7 @@ def nparty_expected_payout(
     """Expected N-leg portfolio payout, verified additive across marginals."""
     ops = list(operators)
     dims = [op.dim for op in ops]
-    joint_op = nparty_portfolio_operator(ops, weights, tol=tol)
+    joint_op = nparty_portfolio_operator(ops, weights)
     if state.dim != joint_op.dim:
         raise DimensionMismatchError(
             f"state dimension {state.dim} does not match joint dimension {joint_op.dim}"
@@ -300,7 +281,7 @@ def nparty_expected_payout(
     joint = _real_trace_product(state.entries, joint_op.entries)
     split = 0.0
     for i, op in enumerate(ops):
-        reduced = subsystem_marginal(state, dims, i, tol=tol)
+        reduced = subsystem_marginal(state, dims, i)
         split += float(weights[i]) * _real_trace_product(reduced.entries, op.entries)
     if abs(joint - split) > tol.additivity * max(1.0, abs(joint)):
         raise NumericalError(

@@ -51,7 +51,7 @@ class FinancialClaim:
 
     __slots__ = ("basis", "payouts")
 
-    def __init__(self, basis: MeasurementBasis, payouts, *, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, basis: MeasurementBasis, payouts):
         arr = np.array(payouts, dtype=float)
         if arr.ndim != 1 or arr.shape[0] != basis.dim:
             raise DimensionMismatchError(
@@ -72,7 +72,7 @@ class FinancialClaim:
     def dim(self) -> int:
         return self.basis.dim
 
-    def as_operator(self, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
+    def as_operator(self) -> HermitianOperator:
         return _assemble(self.payouts, self.basis.vectors)
 
     def __repr__(self) -> str:
@@ -140,15 +140,13 @@ def expected_payout(
     return float(claim.payouts @ marginals)
 
 
-def discount_bond(n: int, *, tol: Tolerances = DEFAULT_TOLERANCES) -> FinancialClaim:
+def discount_bond(n: int) -> FinancialClaim:
     """Claim paying 1 in every outcome; its operator is the identity."""
-    basis = standard_basis(n, tol=tol)
-    return FinancialClaim(basis, np.ones(basis.dim), tol=tol)
+    basis = standard_basis(n)
+    return FinancialClaim(basis, np.ones(basis.dim))
 
 
-def arrow_debreu(
-    basis: MeasurementBasis, outcome: int, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> FinancialClaim:
+def arrow_debreu(basis: MeasurementBasis, outcome: int) -> FinancialClaim:
     """Claim paying 1 on a single outcome (0-based) of ``basis`` and 0 elsewhere."""
     if not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < basis.dim:
         raise ValidationError(
@@ -156,7 +154,7 @@ def arrow_debreu(
         )
     payouts = np.zeros(basis.dim)
     payouts[int(outcome)] = 1.0
-    return FinancialClaim(basis, payouts, tol=tol)
+    return FinancialClaim(basis, payouts)
 
 
 def claim_combine(
@@ -181,7 +179,7 @@ def claim_combine(
         raise DimensionMismatchError(
             f"claims of dimension {first.dim} and {second.dim}"
         )
-    return _combine(a, first.as_operator(tol=tol).entries, b, second.as_operator(tol=tol).entries, tol)
+    return _combine(a, first.as_operator().entries, b, second.as_operator().entries, tol)
 
 
 def _combine(a: float, x: np.ndarray, b: float, y: np.ndarray, tol: Tolerances) -> FinancialClaim:
@@ -191,7 +189,7 @@ def _combine(a: float, x: np.ndarray, b: float, y: np.ndarray, tol: Tolerances) 
     payouts[tiny] = 0.0
     if (payouts < 0.0).any():
         raise NumericalError("combination produced a negative payout beyond tolerance")
-    return FinancialClaim(spectrum.basis, payouts, tol=tol)
+    return FinancialClaim(spectrum.basis, payouts)
 
 
 def _commute(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> bool:
@@ -232,7 +230,7 @@ def check_axioms(
                 probes.append(
                     (
                         f"unit claim on {label}-state null eigenvector {int(j)}",
-                        arrow_debreu(eigenbasis, int(j), tol=tol),
+                        arrow_debreu(eigenbasis, int(j)),
                     )
                 )
     axiom1 = True
@@ -250,10 +248,10 @@ def check_axioms(
 
     # Axiom 2: linearity on commuting families (the bond commutes with everything).
     axiom2 = True
-    bond = discount_bond(n, tol=tol)
+    bond = discount_bond(n)
     family = claims + [bond]
     labels = [f"claim {i}" for i in range(len(claims))] + ["bond"]
-    operators = [c.as_operator(tol=tol).entries for c in family]
+    operators = [c.as_operator().entries for c in family]
     prices = [price(kernel, c, tol=tol) for c in family]
     for i in range(len(family)):
         for j in range(i + 1, len(family)):

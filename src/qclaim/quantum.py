@@ -130,9 +130,6 @@ class MeasurementBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def vector(self, j: int) -> np.ndarray:
-        return self.vectors[j]
-
     def __repr__(self) -> str:
         return f"MeasurementBasis(dim={self.dim})"
 
@@ -152,22 +149,20 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", vals)
 
 
-def standard_basis(n: int, *, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
+def standard_basis(n: int) -> MeasurementBasis:
     """Computational basis of dimension ``n``."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
     return _trusted(MeasurementBasis, np.eye(int(n), dtype=complex))
 
 
-def identity_operator(n: int, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
+def identity_operator(n: int) -> HermitianOperator:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
     return _trusted(HermitianOperator, np.eye(int(n), dtype=complex))
 
 
-def from_spectrum(
-    eigenvalues, basis: MeasurementBasis, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> HermitianOperator:
+def from_spectrum(eigenvalues, basis: MeasurementBasis) -> HermitianOperator:
     """Assemble sum_j eigenvalues[j] |v_j><v_j| over the given basis."""
     return _assemble(_eigenvalue_array(eigenvalues, basis.dim), basis.vectors)
 
@@ -270,20 +265,12 @@ def equivalent_states(
     return absolutely_continuous(a, b, tol=tol) and absolutely_continuous(b, a, tol=tol)
 
 
-def tensor_product(
-    a: HermitianOperator, b: HermitianOperator, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> HermitianOperator:
+def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product; row (j, j') of the result is index j * b.dim + j'."""
     return _trusted(HermitianOperator, np.kron(a.entries, b.entries))
 
 
-def partial_trace(
-    operator: HermitianOperator,
-    dims: tuple[int, int],
-    keep: str,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> HermitianOperator:
+def partial_trace(operator: HermitianOperator, dims: tuple[int, int], keep: str) -> HermitianOperator:
     """Trace out one factor of a bipartite operator, keeping "first" or "second"."""
     n, m = dims
     if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))) or n < 1 or m < 1:
@@ -294,15 +281,11 @@ def partial_trace(
         )
     if keep not in ("first", "second"):
         raise ValidationError(f'keep must be "first" or "second", got {keep!r}')
-    return subsystem_marginal(operator, (n, m), 0 if keep == "first" else 1, tol=tol)
+    return subsystem_marginal(operator, (n, m), 0 if keep == "first" else 1)
 
 
 def subsystem_marginal(
-    operator: HermitianOperator,
-    dims: Sequence[int],
-    index: int,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    operator: HermitianOperator, dims: Sequence[int], index: int
 ) -> HermitianOperator:
     """Trace out all factors of a multipartite operator except ``dims[index]``."""
     if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
@@ -321,13 +304,7 @@ def subsystem_marginal(
     return _trusted(HermitianOperator, np.einsum("aibajb->ij", blocks))
 
 
-def evolve(
-    state: DensityMatrix,
-    generator: HermitianOperator,
-    time: float,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> DensityMatrix:
+def evolve(state: DensityMatrix, generator: HermitianOperator, time: float) -> DensityMatrix:
     """Unitary evolution e^{+iHt} state e^{-iHt} generated by ``generator``."""
     if state.dim != generator.dim:
         raise DimensionMismatchError(

@@ -134,7 +134,7 @@ def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES
     if not isinstance(payouts, list):
         raise ValidationError(f"{what}.payouts must be an array")
     values = [real_from_json(x, f"{what}.payouts[{j}]") for j, x in enumerate(payouts)]
-    return FinancialClaim(basis, values, tol=tol)
+    return FinancialClaim(basis, values)
 
 
 def claim_to_json(claim: FinancialClaim) -> dict:

@@ -3,8 +3,12 @@
 The first group rebuilds library-derived values through the public gates
 they no longer pass through, so a derivation that drifts out of them
 shows up here.  The second group counts validating constructions and pins
-that derived values skip the gates.
+that derived values skip the gates.  The last test keeps every ``tol=``
+keyword meaningful: a function accepts one only to read it.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +126,21 @@ def test_calibration_gates_only_the_recovered_state(constructions):
     constructions.clear()
     qc.calibrate(3, 0.95, quotes)
     assert constructions == ["DensityMatrix"]
+
+
+def test_every_tol_parameter_is_read():
+    # A function that takes ``tol`` must name it in its body: it reads a field
+    # or hands ``tol`` on, and a callee that dropped the keyword would raise
+    # TypeError, so by induction every ``tol`` reaches a gate.
+    unread = []
+    for path in sorted(Path(qc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            if "tol" not in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                continue
+            body = (n for statement in node.body for n in ast.walk(statement))
+            if not any(isinstance(n, ast.Name) and n.id == "tol" for n in body):
+                unread.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unread == []

@@ -360,20 +360,24 @@ SKEWED_Q = [[[1.0 - 1e-11, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-11, 0.0]]]
 
 
 @pytest.mark.parametrize(
-    "budget, q, message",
+    "budget, q, utility, message",
     [
-        (1e305, None, "budget multiplier"),
-        (1.7e308, None, "budget multiplier"),
-        (1e299, SKEWED_Q, "beyond floating-point range"),
-        (5e297, SKEWED_Q, "alternative payout overflowed"),
+        (1e305, None, None, "budget multiplier"),
+        (1.7e308, None, None, "budget multiplier"),
+        (1e299, SKEWED_Q, None, "beyond floating-point range"),
+        (5e297, SKEWED_Q, None, "alternative payout overflowed"),
+        # x_2 = (m * 2.5)^(-1000) underflows to 0: a numerical failure, not bad input.
+        (1.0, None, {"kind": "power", "p": 0.999}, "beyond floating-point range"),
     ],
-    ids=["1e305", "1.7e308", "1e299-skewed", "5e297-skewed"],
+    ids=["1e305", "1.7e308", "1e299-skewed", "5e297-skewed", "1-power-0.999"],
 )
-def test_extreme_budgets_exit_3(budget, q, message, tmp_path, capsys):
+def test_extreme_budgets_exit_3(budget, q, utility, message, tmp_path, capsys):
     document = json.loads((GOLDEN / "optimize.scenario.json").read_text())
     document["payload"]["budget"] = budget
     if q is not None:
         document["payload"]["kernel"]["q"] = q
+    if utility is not None:
+        document["payload"]["utility"] = utility
     out = tmp_path / "report.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -384,6 +388,23 @@ def test_extreme_budgets_exit_3(budget, q, message, tmp_path, capsys):
     record = single_error_record(capsys)
     assert record["type"] == "numerical"
     assert message in record["message"]
+
+
+def test_overflowing_basis_exits_2_without_numpy_warnings(tmp_path, capsys):
+    # The Gram product of a basis holding 1e308 overflows to inf and nan; the
+    # orthonormality gate rejects it, and no RuntimeWarning precedes the record.
+    document = price_scenario()
+    document["payload"]["claim"]["basis"][0][0] = [1e308, 0.0]
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run("price", write_scenario(tmp_path, document), out_path=str(out))
+    assert code == 2
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    record = single_error_record(capsys)
+    assert record["type"] == "validation"
+    assert record["message"].startswith("basis vectors are not orthonormal")
 
 
 def test_overlong_integer_literal_exits_2(tmp_path, capsys):

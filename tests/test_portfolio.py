@@ -120,6 +120,49 @@ def test_expected_payout_splits_across_marginals():
         assert got == pytest.approx(legs, abs=1e-10)
 
 
+def reference_two_party_operator(position):
+    # A dedicated two-leg build: the bit-exact oracle for the N = 2 operator.
+    n, m = position.dims
+    return position.weights[0] * np.kron(position.first.entries, np.eye(m)) + position.weights[
+        1
+    ] * np.kron(np.eye(n), position.second.entries)
+
+
+def reference_two_party_payout(state, position, tol=qc.DEFAULT_TOLERANCES):
+    # A dedicated two-leg payout and additivity gate: the oracle for the N = 2 payout.
+    def trace_product(a, b):
+        return float(np.real(np.sum(a * b.T)))
+
+    joint = trace_product(state.rho.entries, reference_two_party_operator(position))
+    first = qc.partial_trace(state.rho, state.dims, "first")
+    second = qc.partial_trace(state.rho, state.dims, "second")
+    split = position.weights[0] * trace_product(
+        first.entries, position.first.entries
+    ) + position.weights[1] * trace_product(second.entries, position.second.entries)
+    if abs(joint - split) > tol.additivity * max(1.0, abs(joint)):
+        raise qc.NumericalError("additivity violated numerically")
+    return joint
+
+
+def test_two_party_portfolio_is_the_two_leg_nparty_case():
+    rng = np.random.default_rng(17)
+
+    def leg(d):
+        if rng.random() < 0.15:
+            return qc.HermitianOperator(np.zeros((d, d)))
+        return random_hermitian(rng, d)
+
+    for _ in range(600):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        state = qc.TwoPartyState((n, m), random_density(rng, n * m))
+        weights = tuple(0.0 if rng.random() < 0.15 else float(w) for w in rng.normal(size=2))
+        position = qc.portfolio_observable(leg(n), leg(m), weights)
+        operator = position.as_operator().entries
+        assert np.array_equal(operator, reference_two_party_operator(position))
+        got = qc.portfolio_expected_payout(state, position)
+        assert repr(got) == repr(reference_two_party_payout(state, position))
+
+
 def test_bell_two_leg_payout():
     bell = qc.TwoPartyState((2, 2), bell_state())
     position = qc.portfolio_observable(diag_op(1.0, 0.0), diag_op(1.0, 0.0), (1.0, 1.0))
