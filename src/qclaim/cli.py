@@ -5,47 +5,27 @@ writes a report whose bytes depend only on the scenario content and the
 seed.  Validation problems exit with code 2, numerical failures with
 code 3; both leave a machine-readable error record on stderr and never a
 partial report.
+
+Importing this module, and running ``ks``, loads no numpy: the integer
+Kochen-Specker path is imported here, and each numeric subcommand imports
+its library modules when it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
-from .investment import (
-    excess_return_factor,
-    expected_utility,
-    kl_divergence,
-    optimal_payouts,
-    rate_of_return,
-    verify_optimality,
-)
 from .kochen_specker import (
-    ContractMenu,
     cabello_system,
-    choose_contract,
-    menu_prices,
-    menu_probabilities,
     parity_certificate,
     search_colourings,
     structure_diagnostics,
 )
-from .portfolio import (
-    TwoPartyState,
-    is_ppt,
-    payout_covariance,
-    portfolio_expected_payout,
-    portfolio_observable,
-    portfolio_price,
-)
-from .pricing import calibrate, expected_payout, price
-from .quantum import basis_marginals
 from .serialization import (
     basis_from_json,
     claim_from_json,
@@ -82,6 +62,8 @@ def _floats(values) -> list[float]:
 
 
 def _handle_price(payload: dict, seed: int, tol: Tolerances):
+    from .pricing import expected_payout, price
+
     require_keys(payload, "payload", required=("p", "kernel", "claim"))
     state = density_from_json(payload["p"], "payload.p", tol=tol)
     kernel = kernel_from_json(payload["kernel"], "payload.kernel", tol=tol)
@@ -94,6 +76,8 @@ def _handle_price(payload: dict, seed: int, tol: Tolerances):
 
 
 def _handle_calibrate(payload: dict, seed: int, tol: Tolerances):
+    from .pricing import calibrate, price
+
     require_keys(payload, "payload", required=("n", "bond_price", "quotes"))
     n = int_from_json(payload["n"], "payload.n")
     if not 1 <= n <= _MAX_DIMENSION:
@@ -123,6 +107,10 @@ def _parse_allocation(payload: dict, tol: Tolerances):
 
 
 def _handle_optimize(payload: dict, seed: int, tol: Tolerances):
+    import numpy as np
+
+    from .investment import expected_utility, optimal_payouts, verify_optimality
+
     require_keys(
         payload,
         "payload",
@@ -154,6 +142,9 @@ def _handle_optimize(payload: dict, seed: int, tol: Tolerances):
 
 
 def _handle_returns(payload: dict, seed: int, tol: Tolerances):
+    from .investment import excess_return_factor, kl_divergence, optimal_payouts, rate_of_return
+    from .quantum import basis_marginals
+
     require_keys(
         payload,
         "payload",
@@ -202,7 +193,8 @@ def _handle_ks(payload: dict, seed: int, tol: Tolerances):
         system = ks_system_from_json(payload["system"], "payload.system")
     else:
         system = cabello_system()
-    diagnostics = list(structure_diagnostics(system, tol=tol))
+    structure = structure_diagnostics(system, tol=tol)
+    diagnostics = list(structure)
     colourings, witness = search_colourings(system)
     try:
         parity = parity_certificate(system)
@@ -225,7 +217,7 @@ def _handle_ks(payload: dict, seed: int, tol: Tolerances):
     results = {
         "ray_count": len(system.rays),
         "basis_count": len(system.bases),
-        "structure_ok": not diagnostics,
+        "structure_ok": not structure,
         "valid_colourings": colourings,
         "witness": witness,
         "parity_certificate": parity,
@@ -235,6 +227,8 @@ def _handle_ks(payload: dict, seed: int, tol: Tolerances):
 
 
 def _handle_menu(payload: dict, seed: int, tol: Tolerances):
+    from .kochen_specker import ContractMenu, choose_contract, menu_prices, menu_probabilities
+
     require_keys(
         payload,
         "payload",
@@ -274,6 +268,15 @@ def _handle_menu(payload: dict, seed: int, tol: Tolerances):
 
 
 def _handle_portfolio(payload: dict, seed: int, tol: Tolerances):
+    from .portfolio import (
+        TwoPartyState,
+        is_ppt,
+        payout_covariance,
+        portfolio_expected_payout,
+        portfolio_observable,
+        portfolio_price,
+    )
+
     require_keys(
         payload,
         "payload",
@@ -417,9 +420,10 @@ def run(
         payload = scenario["payload"]
         if not isinstance(payload, dict):
             raise ValidationError("scenario payload must be a JSON object")
-        # Overflow and invalid-value warnings would reach stderr ahead of the error
-        # record; the gates still see the inf or nan and fail the run.
-        with np.errstate(all="ignore"):
+        # numpy's overflow and invalid-value warnings would reach stderr ahead
+        # of the error record; the gates still see the inf or nan and fail the run.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             results, diagnostics = _HANDLERS[kind](payload, effective_seed, tol)
     except ValidationError as exc:
         return _fail(EXIT_VALIDATION, "validation", str(exc))
@@ -447,6 +451,8 @@ def run(
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qclaim",
         description="Deterministic reports for measurement-contingent claim scenarios.",

@@ -12,7 +12,10 @@ Rays are integer vectors, so a tetrad's orthogonality is decided exactly
 in integer arithmetic.  Four pairwise-orthogonal nonzero rays in 4-space
 form an orthogonal basis, whose normalized projectors sum to the identity
 exactly; the floating-point completeness gap is therefore computed, and
-reported, only for a tetrad that fails the exact test.
+reported, only for a tetrad that fails the exact test.  The structure
+checks, the search and the parity argument are integer arithmetic and do
+not load numpy; the contract menu and that completeness gap import it
+when they run.
 
 The same nine tetrads double as a menu of nine contracts, each paying on
 the four outcomes of its tetrad's measurement.  A menu accepts only
@@ -23,14 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import DimensionMismatchError, ValidationError
-from .pricing import PricingKernel
-from .quantum import DensityMatrix, _probabilities, _quadratic_forms
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .pricing import PricingKernel
+    from .quantum import DensityMatrix
 
 __all__ = [
     "KSRay",
@@ -133,8 +138,9 @@ class KSSystem:
 
     Construction checks only well-formedness (resolvable distinct ids,
     rays pairwise distinct up to overall sign); whether the tetrads are
-    genuinely orthogonal, complete and pairwise-shared is the job of
-    verify_structure, so defective systems can be built and examined.
+    genuinely orthogonal and complete is the job of verify_structure, so
+    defective systems can be built and examined.  How many tetrads hold
+    each ray is a precondition of parity_certificate, not of soundness.
     """
 
     __slots__ = ("rays", "bases", "_by_id", "_incidence")
@@ -225,10 +231,9 @@ def _orthogonality_problems(system: KSSystem, b: int) -> list[str]:
 def structure_diagnostics(
     system: KSSystem, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[str]:
-    """Every way the system fails the reference structure; empty when sound.
+    """Every way a tetrad fails to be an orthogonal basis; empty when sound.
 
-    Checks exact integer orthogonality within each tetrad and the
-    each-ray-in-exactly-two-tetrads incidence pattern.  Four pairwise-
+    Checks exact integer orthogonality within each tetrad.  Four pairwise-
     orthogonal nonzero rays in 4-space form an orthogonal basis, so their
     normalized projectors sum to the identity exactly; the floating-point
     completeness gap is computed, and reported beyond ``tol.completeness``,
@@ -240,6 +245,8 @@ def structure_diagnostics(
         if not clashes:
             continue
         problems.extend(clashes)
+        import numpy as np
+
         total = np.zeros((4, 4))
         for rid in basis.ray_ids:
             ray = system.ray(rid)
@@ -248,14 +255,11 @@ def structure_diagnostics(
         gap = float(np.abs(total - np.eye(4)).max())
         if gap > tol.completeness:
             problems.append(f"tetrad {b}: projectors sum to identity only within {gap:.3e}")
-    for rid, hits in sorted(system.incidence().items()):
-        if len(hits) != 2:
-            problems.append(f"ray {rid} appears in {len(hits)} tetrads, expected 2")
     return problems
 
 
 def verify_structure(system: KSSystem, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff the system matches the reference structure exactly."""
+    """True iff every tetrad is an orthogonal basis of 4-space."""
     return not structure_diagnostics(system, tol=tol)
 
 
@@ -355,6 +359,8 @@ class ContractMenu:
         state: DensityMatrix,
         kernel: PricingKernel | None = None,
     ):
+        import numpy as np
+
         try:
             table = np.array(payout_tables, dtype=float)
         except ValueError as exc:
@@ -386,6 +392,10 @@ class ContractMenu:
 def _outcome_probabilities(
     system: KSSystem, state: DensityMatrix, tol: Tolerances
 ) -> np.ndarray:
+    import numpy as np
+
+    from .quantum import _probabilities, _quadratic_forms
+
     # The integer rays enter the quadratic form unnormalised; dividing them first
     # by |r| would change the rounding of every menu probability.
     rays = np.array([system.ray(rid).components for b in system.bases for rid in b.ray_ids])
@@ -402,6 +412,8 @@ def menu_prices(menu: ContractMenu, *, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     """Present value of each contract under the menu's kernel."""
     if menu.kernel is None:
         raise ValidationError("menu has no pricing kernel")
+    import numpy as np
+
     weights = _outcome_probabilities(menu.system, menu.kernel.q, tol)
     return menu.kernel.discount * np.sum(menu.payout_tables * weights, axis=1)
 
@@ -417,6 +429,8 @@ def choose_contract(
     Returns the lowest index among maximizers together with every
     contract's score.
     """
+    import numpy as np
+
     probabilities = menu_probabilities(menu, tol=tol)
     table = menu.payout_tables
     if utility is None:

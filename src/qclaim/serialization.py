@@ -5,22 +5,28 @@ of rows, bases as arrays of vectors.  Decoding is strict: wrong shapes,
 unknown keys and non-finite numbers are rejected with the offending path
 in the message.  Report rendering fixes every float at 17 significant
 digits so identical inputs reproduce identical bytes.
+
+The integer ray-system codec and the renderer run without numpy; the
+matrix, claim, kernel and utility codecs import it, and the classes they
+build, when they are called.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import ValidationError
-from .investment import UtilityFunction
 from .kochen_specker import KSBasis, KSRay, KSSystem
-from .pricing import FinancialClaim, PricingKernel
-from .quantum import DensityMatrix, HermitianOperator, MeasurementBasis
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .investment import UtilityFunction
+    from .pricing import FinancialClaim, PricingKernel
+    from .quantum import DensityMatrix, HermitianOperator, MeasurementBasis
 
 __all__ = [
     "require_keys",
@@ -84,6 +90,8 @@ def _complex_from_json(obj: Any, what: str) -> complex:
 
 
 def _complex_rows_from_json(obj: Any, what: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{what} must be a nonempty array of rows")
     width = None
@@ -107,19 +115,27 @@ def matrix_from_json(obj: Any, what: str) -> np.ndarray:
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
+    import numpy as np
+
     arr = np.asarray(matrix, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
 def hermitian_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
+    from .quantum import HermitianOperator
+
     return HermitianOperator(matrix_from_json(obj, what), tol=tol)
 
 
 def density_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+    from .quantum import DensityMatrix
+
     return DensityMatrix(matrix_from_json(obj, what), tol=tol)
 
 
 def basis_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
+    from .quantum import MeasurementBasis
+
     return MeasurementBasis(_complex_rows_from_json(obj, what), tol=tol)
 
 
@@ -128,6 +144,8 @@ def basis_to_json(basis: MeasurementBasis) -> list:
 
 
 def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> FinancialClaim:
+    from .pricing import FinancialClaim
+
     record = require_keys(obj, what, required=("basis", "payouts"))
     basis = basis_from_json(record["basis"], f"{what}.basis", tol=tol)
     payouts = record["payouts"]
@@ -145,6 +163,8 @@ def claim_to_json(claim: FinancialClaim) -> dict:
 
 
 def kernel_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> PricingKernel:
+    from .pricing import PricingKernel
+
     record = require_keys(obj, what, required=("discount", "q"))
     discount = real_from_json(record["discount"], f"{what}.discount")
     q = density_from_json(record["q"], f"{what}.q", tol=tol)
@@ -172,6 +192,8 @@ def quotes_from_json(
 
 
 def utility_from_json(obj: Any, what: str) -> UtilityFunction:
+    from .investment import UtilityFunction
+
     record = require_keys(obj, what, required=("kind",), optional=("p",))
     kind = record["kind"]
     if kind == "log":
@@ -281,22 +303,32 @@ def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
         if pretty:
             pieces.append("\n" + "  " * indent)
         pieces.append(closing)
-    # numpy scalars and arrays, and subclasses of the builtin types, are
-    # converted to the builtin they stand for and rendered as above.
-    elif isinstance(value, (bool, np.bool_)):
-        _render(bool(value), pieces, indent, pretty)
-    elif isinstance(value, (int, np.integer)):
+    # Subclasses of the builtin types (bool has none), then numpy scalars
+    # and arrays, are converted to the builtin they stand for and rendered
+    # as above.  Only a value of some other type reaches the numpy import.
+    elif isinstance(value, int):
         _render(int(value), pieces, indent, pretty)
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         _render(float(value), pieces, indent, pretty)
     elif isinstance(value, str):
         pieces.append(_quote(value))
     elif isinstance(value, dict):
         _render(dict(value), pieces, indent, pretty)
-    elif isinstance(value, (list, tuple, np.ndarray)):
+    elif isinstance(value, (list, tuple)):
         _render(list(value), pieces, indent, pretty)
     else:
-        raise ValidationError(f"cannot serialize {type(value).__name__} into a report")
+        import numpy as np
+
+        if isinstance(value, np.bool_):
+            _render(bool(value), pieces, indent, pretty)
+        elif isinstance(value, np.integer):
+            _render(int(value), pieces, indent, pretty)
+        elif isinstance(value, np.floating):
+            _render(float(value), pieces, indent, pretty)
+        elif isinstance(value, np.ndarray):
+            _render(list(value), pieces, indent, pretty)
+        else:
+            raise ValidationError(f"cannot serialize {type(value).__name__} into a report")
 
 
 def render_json(value: Any, pretty: bool = False) -> str:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qclaim.cli as cli
+import qclaim.investment
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -198,7 +199,7 @@ def test_ks_rejects_system_beating_parity(tmp_path, capsys):
     results = json.loads(report_line)["results"]
     assert results["valid_colourings"] == 4
     assert results["parity_certificate"] is None
-    assert results["structure_ok"] is False  # incidence is 1, not 2
+    assert results["structure_ok"] is True  # orthogonal; only the parity precondition fails
 
 
 def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
@@ -273,7 +274,7 @@ def test_optimize_verify_trials_bounds(trials, tmp_path, capsys, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("verify_optimality ran on a rejected trial count")
 
-    monkeypatch.setattr(cli, "verify_optimality", no_draws)
+    monkeypatch.setattr(qclaim.investment, "verify_optimality", no_draws)
     document = json.loads((GOLDEN / "optimize.scenario.json").read_text())
     document["payload"]["verify_trials"] = trials
     out = tmp_path / "report.json"

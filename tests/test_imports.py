@@ -1,0 +1,186 @@
+"""What importing qclaim loads, and what the package namespace exports.
+
+The ``ks`` subcommand is integer arithmetic, so a process that imports the
+CLI and runs it must not load numpy or the numeric modules.  The package
+resolves every other public name on first access; these tests pin that
+the names are the ones exported before that change, each bound to the
+object its submodule defines.  Fresh interpreters run the import checks,
+since the test process itself has long since loaded everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qclaim
+
+SRC = Path(qclaim.__file__).parents[1]
+GOLDEN = Path(__file__).parent / "golden"
+
+NUMERIC = ("numpy", "qclaim.quantum", "qclaim.pricing", "qclaim.investment", "qclaim.portfolio")
+
+# The package's exports, by defining module, as they stood when every
+# submodule was imported eagerly.
+EXPORTS = {
+    "errors": (
+        "CalibrationError",
+        "DegenerateMarginalError",
+        "DimensionMismatchError",
+        "NumericalError",
+        "QClaimError",
+        "SolverError",
+        "ValidationError",
+    ),
+    "investment": (
+        "DivergenceReport",
+        "OptimalInvestment",
+        "ReturnReport",
+        "UtilityFunction",
+        "excess_return_factor",
+        "expected_utility",
+        "kl_divergence",
+        "optimal_payouts",
+        "rate_of_return",
+        "solve_multiplier",
+        "verify_optimality",
+    ),
+    "kochen_specker": (
+        "ContractMenu",
+        "KSBasis",
+        "KSRay",
+        "KSSystem",
+        "cabello_system",
+        "choose_contract",
+        "menu_prices",
+        "menu_probabilities",
+        "parity_certificate",
+        "search_colourings",
+        "structure_diagnostics",
+        "verify_structure",
+    ),
+    "portfolio": (
+        "CorrelationReport",
+        "PortfolioObservable",
+        "TwoPartyState",
+        "is_ppt",
+        "nparty_expected_payout",
+        "nparty_portfolio_operator",
+        "payout_covariance",
+        "portfolio_expected_payout",
+        "portfolio_observable",
+        "portfolio_price",
+        "product_state",
+        "separable_mixture",
+    ),
+    "pricing": (
+        "AxiomReport",
+        "FinancialClaim",
+        "PricingKernel",
+        "arrow_debreu",
+        "calibrate",
+        "check_axioms",
+        "claim_combine",
+        "discount_bond",
+        "expected_payout",
+        "price",
+    ),
+    "quantum": (
+        "DensityMatrix",
+        "HermitianOperator",
+        "MeasurementBasis",
+        "Spectrum",
+        "absolutely_continuous",
+        "basis_marginals",
+        "born_probability",
+        "eigendecompose",
+        "equivalent_states",
+        "evolve",
+        "from_spectrum",
+        "identity_operator",
+        "partial_trace",
+        "standard_basis",
+        "subsystem_marginal",
+        "tensor_product",
+    ),
+    "tolerances": ("DEFAULT_TOLERANCES", "Tolerances", "tolerances_from_env"),
+}
+EXPORTED = sorted({name for names in EXPORTS.values() for name in names} | EXPORTS.keys())
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter on this source tree; returns what it printed as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_ks_run_loads_no_numeric_module(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["ks", "--scenario", str(GOLDEN / "ks.scenario.json"), "--out", str(out)]
+    seen = fresh(
+        "import json, sys\n"
+        "from qclaim.cli import main\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('qclaim.'))\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([code, loaded, [m for m in {NUMERIC!r} if m in sys.modules]]))\n"
+    )
+    code, loaded_by_import, numeric_after_run = seen
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "ks.report.json").read_bytes()
+    assert loaded_by_import == [
+        "qclaim.cli",
+        "qclaim.errors",
+        "qclaim.kochen_specker",
+        "qclaim.serialization",
+        "qclaim.tolerances",
+    ]
+    assert numeric_after_run == []
+
+
+def test_every_export_resolves_to_its_module_attribute_in_a_fresh_process():
+    # Each name is read from the package first, before its module is imported.
+    identical = fresh(
+        "import importlib, json, qclaim\n"
+        f"exports = {EXPORTS!r}\n"
+        "got = {n: getattr(qclaim, n) for names in exports.values() for n in names}\n"
+        "mods = {m: getattr(qclaim, m) for m in exports}\n"
+        "print(json.dumps(sorted(\n"
+        "    [n for m, names in exports.items() for n in names\n"
+        "     if got[n] is getattr(importlib.import_module('qclaim.' + m), n)]\n"
+        "    + [m for m in exports if mods[m] is importlib.import_module('qclaim.' + m)])))\n"
+    )
+    assert identical == EXPORTED
+
+
+def test_star_import_and_dir_cover_the_exports():
+    namespace: dict = {}
+    exec("from qclaim import *", namespace)
+    assert sorted(k for k in namespace if not k.startswith("_")) == EXPORTED
+    assert sorted(qclaim.__all__) == EXPORTED
+    assert set(EXPORTED) <= set(dir(qclaim))
+
+
+def test_names_are_resolved_on_each_access(monkeypatch):
+    # A name rebound in its module is what the package returns, so wrapping
+    # a function in its module wraps it for callers that go through qclaim.
+    def stand_in(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(qclaim.pricing, "calibrate", stand_in)
+    assert qclaim.calibrate is stand_in
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        qclaim.not_a_name
+    assert not hasattr(qclaim, "np")

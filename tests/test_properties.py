@@ -60,3 +60,69 @@ def test_multiplier_spends_budget_and_meets_first_order_conditions(problem):
     assert abs(spent - budget) <= 1e-12 * budget
     slopes = utility.marginal(payouts) / ratios
     assert np.abs(slopes - multiplier).max() <= 1e-9 * multiplier
+
+
+def _spectrum(draw, n):
+    """n eigenvalues, each 0 or at least 1e-3, not all 0, summing to 1."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    return np.array(weights) / sum(weights)
+
+
+def _state(frame, weights):
+    state = (frame.T * weights) @ frame.conj()
+    return qc.DensityMatrix((state + state.conj().T) / 2.0)
+
+
+@st.composite
+def state_pairs(draw):
+    """Two states of one dimension n <= 5, in a shared frame most of the time."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_weights = _spectrum(draw, n)
+    q_weights = _spectrum(draw, n)
+    if draw(st.booleans()):
+        # the same support, so that equivalent pairs are common
+        q_weights = np.where(p_weights > 0, np.maximum(q_weights, 1e-3), 0.0)
+        q_weights /= q_weights.sum()
+    p_frame = random_basis(rng, n).vectors
+    shared = draw(st.integers(0, 9)) < 7
+    q_frame = p_frame if shared else random_basis(rng, n).vectors
+    return _state(p_frame, p_weights), _state(q_frame, q_weights), draw(st.floats(0.05, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state_pairs())
+def test_axiom_one_holds_exactly_for_equivalent_states(pair):
+    # The paper's equivalence theorem: zero price iff zero expected payout
+    # holds on every claim exactly when the two states share a null space.
+    p, q, discount = pair
+    report = qc.check_axioms(qc.PricingKernel(discount, q), p, [])
+    assert report.axiom1_holds == qc.equivalent_states(p, q)
+
+
+@st.composite
+def marginal_pairs(draw):
+    """Physical and pricing marginals with q > 0 wherever p > 0."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=n, max_size=n))
+    if not any(p):
+        p[draw(st.integers(0, n - 1))] = 1.0
+    q = [
+        draw(st.floats(1e-6, 1.0)) if pj > 0 else draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+        for pj in p
+    ]
+    return np.array(p) / sum(p), np.array(q) / sum(q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(marginal_pairs())
+def test_growth_factor_bounds_the_divergence(pair):
+    # Jensen: KL = sum p log(p/q) <= log sum p (p/q), the log growth factor;
+    # hence excess_bound_slack = factor - 1 - KL >= log factor - KL >= 0.
+    p, q = pair
+    factor = qc.excess_return_factor(p, q)
+    kl = qc.kl_divergence(p, q).kl
+    assert np.log(factor) >= kl - 1e-12
+    assert factor - 1.0 - kl >= -1e-12
