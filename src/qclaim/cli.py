@@ -1,10 +1,10 @@
 """Scenario-driven command line emitting deterministic JSON reports.
 
-Each subcommand reads one JSON scenario file, validates it, computes, and
-writes a report whose bytes depend only on the scenario content and the
-seed.  Validation problems exit with code 2, numerical failures with
-code 3; both leave a machine-readable error record on stderr and never a
-partial report.
+Each subcommand reads one JSON scenario file, decodes and validates its
+whole payload, then computes and writes a report whose bytes depend only
+on the scenario content and the seed.  Validation problems exit with
+code 2, numerical failures with code 3; both leave a machine-readable
+error record on stderr and never a partial report.
 
 Importing this module, and running ``ks``, loads no numpy: the integer
 Kochen-Specker path is imported here, and each numeric subcommand imports
@@ -14,10 +14,13 @@ its library modules when it runs.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import NumericalError, ValidationError
 from .kochen_specker import (
@@ -49,41 +52,129 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-SUBCOMMANDS = ("price", "calibrate", "optimize", "returns", "ks", "menu", "portfolio")
-
 _MAX_SEED = 2**64 - 1
 _MAX_DIMENSION = 64
 _MAX_VERIFY_TRIALS = 10_000
-_DEFAULT_VERIFY_TRIALS = 256
 
 
-def _floats(values) -> list[float]:
-    return [float(x) for x in values]
+# -- payload decoders beyond the shared codecs
 
 
-def _handle_price(payload: dict, seed: int, tol: Tolerances):
+def _bounded_int(obj, what: str, high: int) -> int:
+    value = int_from_json(obj, what)
+    if not 1 <= value <= high:
+        raise ValidationError(f"{what} must lie in [1, {high}], got {value}")
+    return value
+
+
+def _pair(obj, what: str, decode) -> tuple:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValidationError(f"{what} must be a two-element array")
+    return decode(obj[0], f"{what}[0]"), decode(obj[1], f"{what}[1]")
+
+
+_dimension_from_json = partial(_bounded_int, high=_MAX_DIMENSION)
+_trials_from_json = partial(_bounded_int, high=_MAX_VERIFY_TRIALS)
+_int_pair_from_json = partial(_pair, decode=int_from_json)
+_real_pair_from_json = partial(_pair, decode=real_from_json)
+
+
+def _payout_rows_from_json(obj, what: str) -> list[list[float]]:
+    if not isinstance(obj, list):
+        raise ValidationError(f"{what} must be an array of per-contract rows")
+    table = []
+    for r, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != 4:
+            raise ValidationError(f"{what}[{r}] must be an array of 4 payouts")
+        table.append([real_from_json(x, f"{what}[{r}][{j}]") for j, x in enumerate(row)])
+    return table
+
+
+# Payload key -> name of its decoder, the same in every subcommand.  The name is
+# looked up here when the key is decoded, so a rebound decoder is the one called.
+_DECODERS = {
+    "p": "density_from_json",
+    "state": "density_from_json",
+    "rho": "density_from_json",
+    "kernel": "kernel_from_json",
+    "claim": "claim_from_json",
+    "quotes": "quotes_from_json",
+    "basis": "basis_from_json",
+    "U": "hermitian_from_json",
+    "V": "hermitian_from_json",
+    "utility": "utility_from_json",
+    "system": "ks_system_from_json",
+    "bond_price": "real_from_json",
+    "budget": "real_from_json",
+    "horizon": "real_from_json",
+    "n": "_dimension_from_json",
+    "verify_trials": "_trials_from_json",
+    "dims": "_int_pair_from_json",
+    "theta": "_real_pair_from_json",
+    "payouts": "_payout_rows_from_json",
+}
+# The decoders that build checked matrices, and so take the tolerances.
+_MATRIX_DECODERS = {
+    "density_from_json", "kernel_from_json", "claim_from_json",
+    "quotes_from_json", "basis_from_json", "hermitian_from_json",
+}
+
+
+def _decode(key: str, obj, tol: Tolerances):
+    name = _DECODERS[key]
+    decoder = globals()[name]
+    if name in _MATRIX_DECODERS:
+        return decoder(obj, f"payload.{key}", tol=tol)
+    return decoder(obj, f"payload.{key}")
+
+
+class _Command(NamedTuple):
+    compute: Callable
+    keys: tuple[str, ...]  # payload keys in decoding order
+    optional: tuple[str, ...]
+    help: str
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help: str):
+    """Enter the decorated computation in ``_COMMANDS`` as subcommand ``name``.
+
+    Its parameters other than ``seed`` and ``tol`` are the payload keys, in
+    decoding order; a key whose parameter has a default is optional.
+    """
+
+    def register(compute):
+        params = inspect.signature(compute).parameters.values()
+        keys = tuple(p.name for p in params if p.name not in ("seed", "tol"))
+        optional = tuple(p.name for p in params if p.default is not p.empty)
+        _COMMANDS[name] = _Command(compute, keys, optional, help)
+        return compute
+
+    return register
+
+
+# -- computations: each takes the decoded payload keys, the seed and the
+# tolerances, and returns (results, diagnostics, stderr summary)
+
+
+@_command("price", "price a claim and report its expected payout")
+def _price(*, p, kernel, claim, seed: int, tol: Tolerances):
     from .pricing import expected_payout, price
 
-    require_keys(payload, "payload", required=("p", "kernel", "claim"))
-    state = density_from_json(payload["p"], "payload.p", tol=tol)
-    kernel = kernel_from_json(payload["kernel"], "payload.kernel", tol=tol)
-    claim = claim_from_json(payload["claim"], "payload.claim", tol=tol)
     results = {
         "price": price(kernel, claim, tol=tol),
-        "expected_payout": expected_payout(state, claim, tol=tol),
+        "expected_payout": expected_payout(p, claim, tol=tol),
     }
-    return results, []
+    summary = f"price {results['price']:.12g}, expected payout {results['expected_payout']:.12g}"
+    return results, [], summary
 
 
-def _handle_calibrate(payload: dict, seed: int, tol: Tolerances):
+@_command("calibrate", "recover a pricing state from quoted prices")
+def _calibrate(*, n, bond_price, quotes, seed: int, tol: Tolerances):
     from .pricing import calibrate, price
 
-    require_keys(payload, "payload", required=("n", "bond_price", "quotes"))
-    n = int_from_json(payload["n"], "payload.n")
-    if not 1 <= n <= _MAX_DIMENSION:
-        raise ValidationError(f"payload.n must lie in [1, {_MAX_DIMENSION}], got {n}")
-    bond_price = real_from_json(payload["bond_price"], "payload.bond_price")
-    quotes = quotes_from_json(payload["quotes"], "payload.quotes", tol=tol)
     kernel = calibrate(n, bond_price, quotes, tol=tol)
     repricing_error = 0.0
     for claim, observed in quotes:
@@ -94,104 +185,74 @@ def _handle_calibrate(payload: dict, seed: int, tol: Tolerances):
         "degrees_of_freedom": n * n,
         "max_repricing_error": repricing_error,
     }
-    return results, []
+    summary = (
+        f"recovered pricing state from {len(quotes)} quotes; "
+        f"max repricing error {repricing_error:.3e}"
+    )
+    return results, [], summary
 
 
-def _parse_allocation(payload: dict, tol: Tolerances):
-    state = density_from_json(payload["p"], "payload.p", tol=tol)
-    kernel = kernel_from_json(payload["kernel"], "payload.kernel", tol=tol)
-    basis = basis_from_json(payload["basis"], "payload.basis", tol=tol)
-    budget = real_from_json(payload["budget"], "payload.budget")
-    utility = utility_from_json(payload["utility"], "payload.utility")
-    return state, kernel, basis, budget, utility
-
-
-def _handle_optimize(payload: dict, seed: int, tol: Tolerances):
+@_command("optimize", "solve for the utility-optimal payout schedule")
+def _optimize(*, p, kernel, basis, budget, utility, verify_trials=256, seed: int, tol: Tolerances):
     import numpy as np
 
     from .investment import expected_utility, optimal_payouts, verify_optimality
 
-    require_keys(
-        payload,
-        "payload",
-        required=("p", "kernel", "basis", "budget", "utility"),
-        optional=("verify_trials",),
-    )
-    state, kernel, basis, budget, utility = _parse_allocation(payload, tol)
-    trials = _DEFAULT_VERIFY_TRIALS
-    if "verify_trials" in payload:
-        trials = int_from_json(payload["verify_trials"], "payload.verify_trials")
-        if not 1 <= trials <= _MAX_VERIFY_TRIALS:
-            raise ValidationError(
-                f"payload.verify_trials must lie in [1, {_MAX_VERIFY_TRIALS}], got {trials}"
-            )
-    investment = optimal_payouts(state, kernel, basis, budget, utility, tol=tol)
+    investment = optimal_payouts(p, kernel, basis, budget, utility, tol=tol)
     verified = verify_optimality(
-        investment, state, kernel, utility, trials, np.random.default_rng(seed), tol=tol
+        investment, p, kernel, utility, verify_trials, np.random.default_rng(seed), tol=tol
     )
     results = {
         "budget": investment.budget,
-        "payouts": _floats(investment.payouts),
+        "payouts": investment.payouts.tolist(),
         "multiplier": investment.multiplier,
         "realized_price": investment.realized_price,
-        "expected_utility": expected_utility(state, basis, investment.payouts, utility, tol=tol),
-        "verify_trials": trials,
+        "expected_utility": expected_utility(p, basis, investment.payouts, utility, tol=tol),
+        "verify_trials": verify_trials,
         "verified_optimal": verified,
     }
-    return results, []
+    summary = (
+        f"optimal payouts at realized price {investment.realized_price:.12g} "
+        f"(budget {investment.budget:.12g})"
+    )
+    return results, [], summary
 
 
-def _handle_returns(payload: dict, seed: int, tol: Tolerances):
+@_command("returns", "return decomposition and divergence of the optimal schedule")
+def _returns(*, p, kernel, basis, budget, utility, horizon=1.0, seed: int, tol: Tolerances):
     from .investment import excess_return_factor, kl_divergence, optimal_payouts, rate_of_return
     from .quantum import basis_marginals
 
-    require_keys(
-        payload,
-        "payload",
-        required=("p", "kernel", "basis", "budget", "utility"),
-        optional=("horizon",),
-    )
-    state, kernel, basis, budget, utility = _parse_allocation(payload, tol)
-    horizon = 1.0
-    if "horizon" in payload:
-        horizon = real_from_json(payload["horizon"], "payload.horizon")
-    investment = optimal_payouts(state, kernel, basis, budget, utility, tol=tol)
+    investment = optimal_payouts(p, kernel, basis, budget, utility, tol=tol)
     log_utility = utility.kind == "log"
     report = rate_of_return(
-        state,
-        kernel,
-        basis,
-        investment.payouts,
-        horizon,
-        verify_log_optimal=log_utility,
-        tol=tol,
+        p, kernel, basis, investment.payouts, horizon, verify_log_optimal=log_utility, tol=tol
     )
-    p_m = basis_marginals(state, basis, tol=tol)
+    p_m = basis_marginals(p, basis, tol=tol)
     q_m = basis_marginals(kernel.q, basis, tol=tol)
     divergence = kl_divergence(p_m, q_m, tol=tol)
     results = {
-        "payouts": _floats(investment.payouts),
+        "payouts": investment.payouts.tolist(),
         "gross_return": report.gross_return,
         "total_rate": report.total_rate,
         "interest_rate": report.interest_rate,
         "excess_rate": report.excess_rate,
         "horizon": report.horizon,
         "kl_divergence": divergence.kl,
-        "p_marginals": _floats(divergence.p_marginals),
-        "q_marginals": _floats(divergence.q_marginals),
+        "p_marginals": divergence.p_marginals.tolist(),
+        "q_marginals": divergence.q_marginals.tolist(),
     }
     if log_utility:
         factor = excess_return_factor(p_m, q_m, tol=tol)
         results["growth_factor"] = factor
         results["excess_bound_slack"] = factor - 1.0 - divergence.kl
-    return results, []
+    summary = f"gross return {report.gross_return:.12g}, excess rate {report.excess_rate:.12g}"
+    return results, [], summary
 
 
-def _handle_ks(payload: dict, seed: int, tol: Tolerances):
-    require_keys(payload, "payload", optional=("system",))
-    if "system" in payload:
-        system = ks_system_from_json(payload["system"], "payload.system")
-    else:
+@_command("ks", "exact-cover count of one-per-tetrad markings, 18-ray system by default")
+def _ks(*, system=None, seed: int, tol: Tolerances):
+    if system is None:
         system = cabello_system()
     structure = structure_diagnostics(system, tol=tol)
     diagnostics = list(structure)
@@ -206,14 +267,12 @@ def _handle_ks(payload: dict, seed: int, tol: Tolerances):
             f"parity obstruction applies yet the search found {colourings} colourings"
         )
     incidence = system.incidence()
-    rows = [
-        {
-            "ray": ray.ray_id,
-            "components": list(ray.components),
-            "bases": list(incidence[ray.ray_id]),
-        }
-        for ray in system.rays
-    ]
+    rows, lines = [], ["ray  components        tetrads"]
+    for ray in system.rays:
+        bases = list(incidence[ray.ray_id])
+        rows.append({"ray": ray.ray_id, "components": list(ray.components), "bases": bases})
+        comps = ", ".join(f"{c:2d}" for c in ray.components)
+        lines.append(f"{ray.ray_id:3d}  ({comps})   {', '.join(str(b) for b in bases)}")
     results = {
         "ray_count": len(system.rays),
         "basis_count": len(system.bases),
@@ -223,51 +282,40 @@ def _handle_ks(payload: dict, seed: int, tol: Tolerances):
         "parity_certificate": parity,
         "incidence": rows,
     }
-    return results, diagnostics
+    lines.append(f"structure sound: {'NO' if structure else 'yes'}")
+    lines.append(f"assignments marking exactly one ray per tetrad: {colourings}")
+    lines.append(
+        "parity obstruction applies: "
+        + ("yes" if parity else "not applicable" if parity is None else "no")
+    )
+    verdict = (
+        "no classical one-per-tetrad assignment exists"
+        if colourings == 0
+        else "classical assignments exist"
+    )
+    lines.append(f"verdict: {verdict}")
+    return results, diagnostics, "\n".join(lines)
 
 
-def _handle_menu(payload: dict, seed: int, tol: Tolerances):
+@_command("menu", "score and choose among the tetrad contracts")
+def _menu(*, system=None, state, payouts, utility=None, kernel=None, seed: int, tol: Tolerances):
     from .kochen_specker import ContractMenu, choose_contract, menu_prices, menu_probabilities
 
-    require_keys(
-        payload,
-        "payload",
-        required=("state", "payouts"),
-        optional=("utility", "kernel", "system"),
-    )
-    if "system" in payload:
-        system = ks_system_from_json(payload["system"], "payload.system")
-    else:
-        system = cabello_system()
-    state = density_from_json(payload["state"], "payload.state", tol=tol)
-    raw_table = payload["payouts"]
-    if not isinstance(raw_table, list):
-        raise ValidationError("payload.payouts must be an array of per-contract rows")
-    table = []
-    for r, row in enumerate(raw_table):
-        if not isinstance(row, list) or len(row) != 4:
-            raise ValidationError(f"payload.payouts[{r}] must be an array of 4 payouts")
-        table.append([real_from_json(x, f"payload.payouts[{r}][{j}]") for j, x in enumerate(row)])
-    utility = None
-    if "utility" in payload:
-        utility = utility_from_json(payload["utility"], "payload.utility")
-    kernel = None
-    if "kernel" in payload:
-        kernel = kernel_from_json(payload["kernel"], "payload.kernel", tol=tol)
-    menu = ContractMenu(system, table, state, kernel)
+    menu = ContractMenu(cabello_system() if system is None else system, payouts, state, kernel)
     chosen, scores = choose_contract(menu, utility, tol=tol)
     results = {
-        "probabilities": [_floats(row) for row in menu_probabilities(menu, tol=tol)],
-        "scores": _floats(scores),
+        "probabilities": menu_probabilities(menu, tol=tol).tolist(),
+        "scores": scores.tolist(),
         "chosen_contract": chosen,
         "scoring": "expected_payout" if utility is None else "expected_utility",
     }
     if kernel is not None:
-        results["prices"] = _floats(menu_prices(menu, tol=tol))
-    return results, []
+        results["prices"] = menu_prices(menu, tol=tol).tolist()
+    return results, [], f"chosen contract {chosen} with score {scores[chosen]:.12g}"
 
 
-def _handle_portfolio(payload: dict, seed: int, tol: Tolerances):
+@_command("portfolio", "two-leg portfolio payout, price and covariance")
+def _portfolio(*, dims, rho, U, V, theta, kernel=None, seed: int, tol: Tolerances):
     from .portfolio import (
         TwoPartyState,
         is_ppt,
@@ -277,106 +325,26 @@ def _handle_portfolio(payload: dict, seed: int, tol: Tolerances):
         portfolio_price,
     )
 
-    require_keys(
-        payload,
-        "payload",
-        required=("dims", "rho", "U", "V", "theta"),
-        optional=("kernel",),
-    )
-    raw_dims = payload["dims"]
-    if not isinstance(raw_dims, list) or len(raw_dims) != 2:
-        raise ValidationError("payload.dims must be a two-element array")
-    dims = (int_from_json(raw_dims[0], "payload.dims[0]"), int_from_json(raw_dims[1], "payload.dims[1]"))
-    state = TwoPartyState(dims, density_from_json(payload["rho"], "payload.rho", tol=tol))
-    first = hermitian_from_json(payload["U"], "payload.U", tol=tol)
-    second = hermitian_from_json(payload["V"], "payload.V", tol=tol)
-    raw_theta = payload["theta"]
-    if not isinstance(raw_theta, list) or len(raw_theta) != 2:
-        raise ValidationError("payload.theta must be a two-element array")
-    weights = (
-        real_from_json(raw_theta[0], "payload.theta[0]"),
-        real_from_json(raw_theta[1], "payload.theta[1]"),
-    )
-    observable = portfolio_observable(first, second, weights)
+    state = TwoPartyState(dims, rho)
+    observable = portfolio_observable(U, V, theta)
     expected = portfolio_expected_payout(state, observable, tol=tol)
-    physical = payout_covariance(state, first, second, "physical")
+    physical = payout_covariance(state, U, V, "physical")
     results = {
         "expected_payout": expected,
         "leg_means": list(physical.marginal_means),
         "covariance": physical.covariance,
         "ppt": is_ppt(state, tol=tol),
     }
-    if "kernel" in payload:
-        kernel = kernel_from_json(payload["kernel"], "payload.kernel", tol=tol)
+    if kernel is not None:
         results["price"] = portfolio_price(kernel, observable, tol=tol)
-        pricing_state = TwoPartyState(dims, kernel.q)
-        pricing = payout_covariance(pricing_state, first, second, "pricing")
+        pricing = payout_covariance(TwoPartyState(dims, kernel.q), U, V, "pricing")
         results["pricing_leg_means"] = list(pricing.marginal_means)
         results["pricing_covariance"] = pricing.covariance
-    return results, []
+    summary = f"expected payout {expected:.12g}, covariance {physical.covariance:.12g}"
+    return results, [], summary
 
 
-_HANDLERS = {
-    "price": _handle_price,
-    "calibrate": _handle_calibrate,
-    "optimize": _handle_optimize,
-    "returns": _handle_returns,
-    "ks": _handle_ks,
-    "menu": _handle_menu,
-    "portfolio": _handle_portfolio,
-}
-
-
-def _summary(kind: str, results: dict) -> str:
-    if kind == "price":
-        return f"price {results['price']:.12g}, expected payout {results['expected_payout']:.12g}"
-    if kind == "calibrate":
-        return (
-            f"recovered pricing state from {results['quote_count']} quotes; "
-            f"max repricing error {results['max_repricing_error']:.3e}"
-        )
-    if kind == "optimize":
-        return (
-            f"optimal payouts at realized price {results['realized_price']:.12g} "
-            f"(budget {results['budget']:.12g})"
-        )
-    if kind == "returns":
-        return (
-            f"gross return {results['gross_return']:.12g}, "
-            f"excess rate {results['excess_rate']:.12g}"
-        )
-    if kind == "ks":
-        lines = ["ray  components        tetrads"]
-        for row in results["incidence"]:
-            comps = ", ".join(f"{c:2d}" for c in row["components"])
-            bases = ", ".join(str(b) for b in row["bases"])
-            lines.append(f"{row['ray']:3d}  ({comps})   {bases}")
-        lines.append(f"structure sound: {'yes' if results['structure_ok'] else 'NO'}")
-        lines.append(
-            "assignments marking exactly one ray per tetrad: "
-            f"{results['valid_colourings']}"
-        )
-        parity = results["parity_certificate"]
-        lines.append(
-            "parity obstruction applies: "
-            + ("yes" if parity else "not applicable" if parity is None else "no")
-        )
-        verdict = (
-            "no classical one-per-tetrad assignment exists"
-            if results["valid_colourings"] == 0
-            else "classical assignments exist"
-        )
-        lines.append(f"verdict: {verdict}")
-        return "\n".join(lines)
-    if kind == "menu":
-        chosen = results["chosen_contract"]
-        return f"chosen contract {chosen} with score {results['scores'][chosen]:.12g}"
-    if kind == "portfolio":
-        return (
-            f"expected payout {results['expected_payout']:.12g}, "
-            f"covariance {results['covariance']:.12g}"
-        )
-    return ""
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def _fail(code: int, category: str, message: str) -> int:
@@ -393,7 +361,7 @@ def run(
     pretty: bool = False,
 ) -> int:
     """Execute one subcommand against a scenario file; returns the exit code."""
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         return _fail(EXIT_VALIDATION, "validation", f"unknown subcommand {command!r}")
     try:
         raw = Path(scenario_path).read_bytes()
@@ -410,9 +378,7 @@ def run(
         kind = scenario["kind"]
         if kind != command:
             raise ValidationError(f"scenario kind {kind!r} does not match subcommand {command!r}")
-        effective_seed = 0
-        if "seed" in scenario:
-            effective_seed = int_from_json(scenario["seed"], "scenario.seed")
+        effective_seed = int_from_json(scenario.get("seed", 0), "scenario.seed")
         if seed is not None:
             effective_seed = seed
         if not 0 <= effective_seed <= _MAX_SEED:
@@ -420,11 +386,15 @@ def run(
         payload = scenario["payload"]
         if not isinstance(payload, dict):
             raise ValidationError("scenario payload must be a JSON object")
+        spec = _COMMANDS[kind]
+        required = [key for key in spec.keys if key not in spec.optional]
+        require_keys(payload, "payload", required=required, optional=spec.optional)
         # numpy's overflow and invalid-value warnings would reach stderr ahead
         # of the error record; the gates still see the inf or nan and fail the run.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            results, diagnostics = _HANDLERS[kind](payload, effective_seed, tol)
+            values = {key: _decode(key, payload[key], tol) for key in spec.keys if key in payload}
+            results, diagnostics, summary = spec.compute(seed=effective_seed, tol=tol, **values)
     except ValidationError as exc:
         return _fail(EXIT_VALIDATION, "validation", str(exc))
     except NumericalError as exc:
@@ -444,9 +414,7 @@ def run(
             return _fail(EXIT_VALIDATION, "validation", f"cannot write report: {exc}")
     else:
         sys.stdout.write(text)
-    summary = _summary(kind, results)
-    if summary:
-        sys.stderr.write(summary + "\n")
+    sys.stderr.write(summary + "\n")
     return EXIT_OK
 
 
@@ -458,17 +426,8 @@ def main(argv=None) -> int:
         description="Deterministic reports for measurement-contingent claim scenarios.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "price": "price a claim and report its expected payout",
-        "calibrate": "recover a pricing state from quoted prices",
-        "optimize": "solve for the utility-optimal payout schedule",
-        "returns": "return decomposition and divergence of the optimal schedule",
-        "ks": "exact-cover count of one-per-tetrad markings, 18-ray system by default",
-        "menu": "score and choose among the tetrad contracts",
-        "portfolio": "two-leg portfolio payout, price and covariance",
-    }
-    for name in SUBCOMMANDS:
-        sub = subparsers.add_parser(name, help=help_lines[name])
+    for name, spec in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=spec.help)
         sub.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         sub.add_argument("--out", help="write the report here instead of stdout")
         sub.add_argument("--seed", type=int, help="seed for randomized verification")

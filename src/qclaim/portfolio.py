@@ -47,6 +47,8 @@ class TwoPartyState:
     __slots__ = ("dims", "rho")
 
     def __init__(self, dims: tuple[int, int], rho: DensityMatrix):
+        if len(dims) != 2:
+            raise ValidationError(f"subsystem dimensions must be a pair, got {dims!r}")
         n, m = dims
         if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))) or n < 1 or m < 1:
             raise ValidationError(f"subsystem dimensions must be positive integers, got {dims!r}")
@@ -165,7 +167,7 @@ def portfolio_observable(
     first: HermitianOperator, second: HermitianOperator, weights: tuple[float, float]
 ) -> PortfolioObservable:
     """Bundle one observable per subsystem with position weights."""
-    return PortfolioObservable(first, second, (float(weights[0]), float(weights[1])))
+    return PortfolioObservable(first, second, tuple(weights))
 
 
 def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:

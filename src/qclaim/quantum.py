@@ -272,6 +272,8 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
 
 def partial_trace(operator: HermitianOperator, dims: tuple[int, int], keep: str) -> HermitianOperator:
     """Trace out one factor of a bipartite operator, keeping "first" or "second"."""
+    if len(dims) != 2:
+        raise ValidationError(f"factor dimensions must be a pair, got {dims!r}")
     n, m = dims
     if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))) or n < 1 or m < 1:
         raise ValidationError(f"factor dimensions must be positive integers, got {dims!r}")

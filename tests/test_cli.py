@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +13,7 @@ import qclaim.cli as cli
 import qclaim.investment
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def write_scenario(tmp_path, document, name="scenario.json"):
@@ -47,6 +50,37 @@ def test_golden_reports_are_byte_identical(kind, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # report went to the file, summary to stderr
     assert captured.err.strip()
+
+
+GOLDEN_SUMMARIES = {
+    "price": "price 0.95, expected payout 1.36",
+    "calibrate": "recovered pricing state from 4 quotes; max repricing error 3.886e-16",
+    "optimize": "optimal payouts at realized price 1 (budget 1)",
+    "returns": "gross return 1.43157894737, excess rate 0.153742349874",
+    "menu": "chosen contract 5 with score 0",
+    "portfolio": "expected payout 0, covariance 1",
+}
+KS_SUMMARY_TAIL = [
+    "structure sound: yes",
+    "assignments marking exactly one ray per tetrad: 0",
+    "parity obstruction applies: yes",
+    "verdict: no classical one-per-tetrad assignment exists",
+]
+
+
+@pytest.mark.parametrize("kind", cli.SUBCOMMANDS)
+def test_golden_summaries(kind, tmp_path, capsys):
+    scenario = GOLDEN / f"{kind}.scenario.json"
+    assert cli.run(kind, str(scenario), out_path=str(tmp_path / "report.json")) == 0
+    err = capsys.readouterr().err
+    if kind == "ks":
+        lines = err.splitlines()
+        assert lines[0] == "ray  components        tetrads"
+        assert lines[1] == "  0  ( 0,  0,  0,  1)   0, 8"
+        assert lines[-4:] == KS_SUMMARY_TAIL
+        assert len(lines) == 1 + 18 + 4
+    else:
+        assert err == GOLDEN_SUMMARIES[kind] + "\n"
 
 
 def test_stdout_report_matches_golden(capsys):
@@ -242,6 +276,29 @@ def test_console_entry_point(tmp_path):
     assert "price" in proc.stderr
 
 
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapped help lines
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in out
+    for name in cli.SUBCOMMANDS:
+        help_line = cli._COMMANDS[name].help
+        assert re.search(rf"^ +{name} +{re.escape(help_line)}$", out, re.M), name
+
+
+def test_every_payload_key_has_one_decoder():
+    keys = {key for command in cli._COMMANDS.values() for key in command.keys}
+    assert keys == set(cli._DECODERS)
+    assert all(callable(getattr(cli, name)) for name in cli._DECODERS.values())
+
+
+def test_readme_lists_the_subcommands_in_order():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    assert tuple(re.findall(r"^\| `([a-z]+)` +\|", section, re.M)) == cli.SUBCOMMANDS
+
+
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
@@ -424,3 +481,34 @@ def test_overlong_integer_literal_exits_2(tmp_path, capsys):
     record = single_error_record(capsys)
     assert record["type"] == "validation"
     assert record["message"].startswith("scenario is not valid JSON")
+
+
+# The first library call of each subcommand's computation.
+ENTRY_POINTS = {
+    "price": ("qclaim.pricing", "price"),
+    "calibrate": ("qclaim.pricing", "calibrate"),
+    "optimize": ("qclaim.investment", "optimal_payouts"),
+    "returns": ("qclaim.investment", "optimal_payouts"),
+    "ks": ("qclaim.cli", "structure_diagnostics"),
+    "menu": ("qclaim.kochen_specker", "ContractMenu"),
+    "portfolio": ("qclaim.portfolio", "TwoPartyState"),
+}
+
+
+@pytest.mark.parametrize("kind", cli.SUBCOMMANDS)
+def test_whole_payload_is_decoded_before_computing(kind, tmp_path, capsys, monkeypatch):
+    # A fault in the last key decoded must stop the run before any computation.
+    def computed(*args, **kwargs):
+        raise AssertionError(f"{kind} computed before its payload was decoded")
+
+    module, name = ENTRY_POINTS[kind]
+    monkeypatch.setattr(importlib.import_module(module), name, computed)
+    key = cli._COMMANDS[kind].keys[-1]
+    document = json.loads((GOLDEN / f"{kind}.scenario.json").read_text())
+    document["payload"][key] = "spoiled"
+    out = tmp_path / "report.json"
+    assert cli.run(kind, write_scenario(tmp_path, document), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["type"] == "validation"
+    assert f"payload.{key}" in record["message"]

@@ -18,6 +18,12 @@ def test_two_party_state_validation():
         qc.TwoPartyState((0, 4), bell_state())
 
 
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 1)])
+def test_two_party_state_needs_a_dimension_pair(dims):
+    with pytest.raises(qc.ValidationError, match="must be a pair"):
+        qc.TwoPartyState(dims, bell_state())
+
+
 def test_bell_marginals_are_maximally_mixed():
     bell = qc.TwoPartyState((2, 2), bell_state())
     for which in ("first", "second"):
@@ -100,6 +106,13 @@ def test_portfolio_operator_has_kronecker_sum_spectrum():
 def test_portfolio_observable_validation():
     with pytest.raises(qc.ValidationError):
         qc.PortfolioObservable(diag_op(1.0, 2.0), diag_op(1.0, 2.0), (np.inf, 1.0))
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0)])
+def test_portfolio_observable_needs_two_weights(weights):
+    # One weight used to raise IndexError; a third was dropped without notice.
+    with pytest.raises(qc.ValidationError, match="two finite reals"):
+        qc.portfolio_observable(diag_op(1.0, 2.0), diag_op(1.0, 2.0), weights)
 
 
 def test_expected_payout_splits_across_marginals():

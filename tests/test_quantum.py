@@ -197,6 +197,13 @@ def test_factor_dimensions_must_be_positive_integers(dims):
         qc.partial_trace(operator, dims, "first")
 
 
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
+def test_partial_trace_needs_a_dimension_pair(dims):
+    operator = qc.HermitianOperator(np.eye(4))
+    with pytest.raises(qc.ValidationError, match="must be a pair"):
+        qc.partial_trace(operator, dims, "first")
+
+
 def test_evolve_half_turn_flips_spin():
     # quarter-cycle phases under the x generator exchange the z outcomes
     generator = qc.HermitianOperator([[0.0, 0.5], [0.5, 0.0]])
