@@ -88,9 +88,7 @@ _EXPORTS = {
         "born_probability",
         "eigendecompose",
         "equivalent_states",
-        "evolve",
         "from_spectrum",
-        "identity_operator",
         "partial_trace",
         "standard_basis",
         "subsystem_marginal",

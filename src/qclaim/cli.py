@@ -113,17 +113,16 @@ _DECODERS = {
     "theta": "_real_pair_from_json",
     "payouts": "_payout_rows_from_json",
 }
-# The decoders that build checked matrices, and so take the tolerances.
-_MATRIX_DECODERS = {
-    "density_from_json", "kernel_from_json", "claim_from_json",
-    "quotes_from_json", "basis_from_json", "hermitian_from_json",
-}
+# The decoders that take the tolerances: those that build checked matrices.
+_TOL_DECODERS = frozenset(
+    name for name in _DECODERS.values() if "tol" in inspect.signature(globals()[name]).parameters
+)
 
 
 def _decode(key: str, obj, tol: Tolerances):
     name = _DECODERS[key]
     decoder = globals()[name]
-    if name in _MATRIX_DECODERS:
+    if name in _TOL_DECODERS:
         return decoder(obj, f"payload.{key}", tol=tol)
     return decoder(obj, f"payload.{key}")
 
@@ -395,18 +394,18 @@ def run(
             warnings.simplefilter("ignore", RuntimeWarning)
             values = {key: _decode(key, payload[key], tol) for key in spec.keys if key in payload}
             results, diagnostics, summary = spec.compute(seed=effective_seed, tol=tol, **values)
+        report = {
+            "kind": kind,
+            "inputs_digest": digest,
+            "seed": effective_seed,
+            "results": results,
+            "diagnostics": diagnostics,
+        }
+        text = render_json(report, pretty=pretty) + "\n"
     except ValidationError as exc:
         return _fail(EXIT_VALIDATION, "validation", str(exc))
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
-    report = {
-        "kind": kind,
-        "inputs_digest": digest,
-        "seed": effective_seed,
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-    text = render_json(report, pretty=pretty) + "\n"
     if out_path is not None:
         try:
             Path(out_path).write_text(text, encoding="utf-8")

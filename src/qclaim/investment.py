@@ -337,22 +337,10 @@ def verify_optimality(
     return bool(np.all(scores <= base + tol.optimality))
 
 
-def excess_return_factor(p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Growth factor sum_j p_j^2 / q_j of the log-optimal payout schedule."""
-    p_m = _checked_distribution(p_marginals, "physical marginals", tol)
-    q_m = _checked_distribution(q_marginals, "pricing marginals", tol)
-    if p_m.shape != q_m.shape:
-        raise DimensionMismatchError("marginal vectors differ in length")
-    mask = p_m > 0.0
-    if (q_m[mask] == 0.0).any():
-        raise ValidationError("pricing marginals vanish where physical marginals do not")
-    return float(np.sum(p_m[mask] ** 2 / q_m[mask]))
-
-
-def kl_divergence(
-    p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DivergenceReport:
-    """Relative entropy sum_j p_j log(p_j / q_j); zero-probability terms drop out."""
+def _checked_pair(
+    p_marginals, q_marginals, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Both distributions checked, equally long, and q > 0 wherever p > 0; also returns p's support.
     p_m = _checked_distribution(p_marginals, "physical marginals", tol)
     q_m = _checked_distribution(q_marginals, "pricing marginals", tol)
     if p_m.shape != q_m.shape:
@@ -363,6 +351,20 @@ def kl_divergence(
         raise ValidationError(
             f"support violation at outcome {j}: physical mass {p_m[j]:.6g} where pricing mass is 0"
         )
+    return p_m, q_m, mask
+
+
+def excess_return_factor(p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """Growth factor sum_j p_j^2 / q_j of the log-optimal payout schedule."""
+    p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
+    return float(np.sum(p_m[mask] ** 2 / q_m[mask]))
+
+
+def kl_divergence(
+    p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES
+) -> DivergenceReport:
+    """Relative entropy sum_j p_j log(p_j / q_j); zero-probability terms drop out."""
+    p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
     kl = float(np.sum(p_m[mask] * np.log(p_m[mask] / q_m[mask])))
     return DivergenceReport(max(kl, 0.0), p_m, q_m)
 

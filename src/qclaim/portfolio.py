@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +79,7 @@ class PortfolioObservable:
 
     def __post_init__(self):
         w = self.weights
-        if len(w) != 2 or not all(math.isfinite(float(x)) for x in w):
+        if len(w) != 2 or not all(isinstance(x, Real) and math.isfinite(x) for x in w):
             raise ValidationError(f"weights must be two finite reals, got {w!r}")
         object.__setattr__(self, "weights", (float(w[0]), float(w[1])))
 
@@ -175,13 +176,6 @@ def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(a * b.T)))
 
 
-def _check_dims(state: TwoPartyState, observable: PortfolioObservable) -> None:
-    if state.dims != observable.dims:
-        raise DimensionMismatchError(
-            f"state dimensions {state.dims} differ from observable dimensions {observable.dims}"
-        )
-
-
 def portfolio_expected_payout(
     state: TwoPartyState,
     observable: PortfolioObservable,
@@ -195,7 +189,10 @@ def portfolio_expected_payout(
     expectations for every state; disagreement beyond tolerance signals a
     numerical fault, not a property of the state.
     """
-    _check_dims(state, observable)
+    if state.dims != observable.dims:
+        raise DimensionMismatchError(
+            f"state dimensions {state.dims} differ from observable dimensions {observable.dims}"
+        )
     legs = (observable.first, observable.second)
     return nparty_expected_payout(state.rho, legs, observable.weights, tol=tol)
 
@@ -212,8 +209,8 @@ def portfolio_price(
         raise DimensionMismatchError(
             f"kernel dimension {kernel.dim} does not match joint dimension {n * m}"
         )
-    pricing_state = TwoPartyState((n, m), kernel.q)
-    return kernel.discount * portfolio_expected_payout(pricing_state, observable, tol=tol)
+    legs = (observable.first, observable.second)
+    return kernel.discount * nparty_expected_payout(kernel.q, legs, observable.weights, tol=tol)
 
 
 def payout_covariance(
@@ -255,13 +252,11 @@ def nparty_portfolio_operator(
     if not all(math.isfinite(x) for x in w):
         raise ValidationError("weights must be finite")
     dims = [op.dim for op in ops]
-    total_dim = int(np.prod(dims))
+    total_dim = math.prod(dims)
     joint = np.zeros((total_dim, total_dim), dtype=complex)
     for i, op in enumerate(ops):
-        term = np.eye(1)
-        for j, other in enumerate(ops):
-            term = np.kron(term, other.entries if j == i else np.eye(dims[j]))
-        joint += w[i] * term
+        before, after = math.prod(dims[:i]), math.prod(dims[i + 1 :])
+        joint += w[i] * np.kron(np.kron(np.eye(before), op.entries), np.eye(after))
     return _trusted(HermitianOperator, joint)
 
 
@@ -285,7 +280,7 @@ def nparty_expected_payout(
     for i, op in enumerate(ops):
         reduced = subsystem_marginal(state, dims, i)
         split += float(weights[i]) * _real_trace_product(reduced.entries, op.entries)
-    if abs(joint - split) > tol.additivity * max(1.0, abs(joint)):
+    if not abs(joint - split) <= tol.additivity * max(1.0, abs(joint)):  # NaN fails too
         raise NumericalError(
             f"additivity violated numerically: joint {joint!r} vs marginal split {split!r}"
         )

@@ -21,7 +21,6 @@ __all__ = [
     "MeasurementBasis",
     "Spectrum",
     "standard_basis",
-    "identity_operator",
     "from_spectrum",
     "eigendecompose",
     "born_probability",
@@ -31,7 +30,6 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "subsystem_marginal",
-    "evolve",
 ]
 
 
@@ -156,12 +154,6 @@ def standard_basis(n: int) -> MeasurementBasis:
     return _trusted(MeasurementBasis, np.eye(int(n), dtype=complex))
 
 
-def identity_operator(n: int) -> HermitianOperator:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    return _trusted(HermitianOperator, np.eye(int(n), dtype=complex))
-
-
 def from_spectrum(eigenvalues, basis: MeasurementBasis) -> HermitianOperator:
     """Assemble sum_j eigenvalues[j] |v_j><v_j| over the given basis."""
     return _assemble(_eigenvalue_array(eigenvalues, basis.dim), basis.vectors)
@@ -274,16 +266,9 @@ def partial_trace(operator: HermitianOperator, dims: tuple[int, int], keep: str)
     """Trace out one factor of a bipartite operator, keeping "first" or "second"."""
     if len(dims) != 2:
         raise ValidationError(f"factor dimensions must be a pair, got {dims!r}")
-    n, m = dims
-    if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))) or n < 1 or m < 1:
-        raise ValidationError(f"factor dimensions must be positive integers, got {dims!r}")
-    if n * m != operator.dim:
-        raise DimensionMismatchError(
-            f"factor dimensions {n}x{m} do not compose to operator dimension {operator.dim}"
-        )
     if keep not in ("first", "second"):
         raise ValidationError(f'keep must be "first" or "second", got {keep!r}')
-    return subsystem_marginal(operator, (n, m), 0 if keep == "first" else 1)
+    return subsystem_marginal(operator, dims, 0 if keep == "first" else 1)
 
 
 def subsystem_marginal(
@@ -305,18 +290,3 @@ def subsystem_marginal(
     blocks = operator.entries.reshape(before, dims[index], after, before, dims[index], after)
     return _trusted(HermitianOperator, np.einsum("aibajb->ij", blocks))
 
-
-def evolve(state: DensityMatrix, generator: HermitianOperator, time: float) -> DensityMatrix:
-    """Unitary evolution e^{+iHt} state e^{-iHt} generated by ``generator``."""
-    if state.dim != generator.dim:
-        raise DimensionMismatchError(
-            f"dimension-{state.dim} state against a dimension-{generator.dim} generator"
-        )
-    t = float(time)
-    if not np.isfinite(t):
-        raise ValidationError("evolution time must be finite")
-    vals, vecs = np.linalg.eigh(generator.entries)
-    phases = np.exp(1j * vals * t)
-    unitary = (vecs * phases) @ vecs.conj().T
-    out = unitary @ state.entries @ unitary.conj().T
-    return _trusted(DensityMatrix, (out + out.conj().T) / 2.0)

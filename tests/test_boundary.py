@@ -62,8 +62,6 @@ def test_reduced_and_evolved_states_pass_the_gate(n):
     parts = [(w, random_density(rng, 2), random_density(rng, n)) for w in (0.3, 0.7)]
     qc.DensityMatrix(qc.separable_mixture(parts).rho.entries)
     qc.DensityMatrix(qc.product_state(*parts[0][1:]).rho.entries)
-    evolved = qc.evolve(rho, random_hermitian(rng, 2 * n), float(rng.normal()))
-    qc.DensityMatrix(evolved.entries)
 
 
 def test_menu_probabilities_are_ray_born_weights():

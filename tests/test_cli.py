@@ -448,6 +448,20 @@ def test_extreme_budgets_exit_3(budget, q, utility, message, tmp_path, capsys):
     assert message in record["message"]
 
 
+@pytest.mark.parametrize("theta", [[1e308, 1e308], [1e308, -1e308]], ids=["same-sign", "opposite"])
+def test_overflowing_portfolio_payout_exits_3(theta, tmp_path, capsys):
+    # The joint payout is nan; it once passed the additivity gate and the
+    # report renderer raised outside the error handling, exiting 1.
+    document = json.loads((GOLDEN / "portfolio.scenario.json").read_text())
+    document["payload"]["theta"] = theta
+    out = tmp_path / "report.json"
+    assert cli.run("portfolio", write_scenario(tmp_path, document), out_path=str(out)) == 3
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["type"] == "numerical"
+    assert record["message"].startswith("additivity violated numerically")
+
+
 def test_overflowing_basis_exits_2_without_numpy_warnings(tmp_path, capsys):
     # The Gram product of a basis holding 1e308 overflows to inf and nan; the
     # orthonormality gate rejects it, and no RuntimeWarning precedes the record.

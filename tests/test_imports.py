@@ -2,14 +2,15 @@
 
 The ``ks`` subcommand is integer arithmetic, so a process that imports the
 CLI and runs it must not load numpy or the numeric modules.  The package
-resolves every other public name on first access; these tests pin that
-the names are the ones exported before that change, each bound to the
-object its submodule defines.  Fresh interpreters run the import checks,
+resolves every other public name on first access; these tests pin the
+exported names, each bound to the object its submodule defines, and the
+README's table of modules.  Fresh interpreters run the import checks,
 since the test process itself has long since loaded everything.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +21,11 @@ import qclaim
 
 SRC = Path(qclaim.__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 NUMERIC = ("numpy", "qclaim.quantum", "qclaim.pricing", "qclaim.investment", "qclaim.portfolio")
 
-# The package's exports, by defining module, as they stood when every
-# submodule was imported eagerly.
+# The package's exports, by defining module.
 EXPORTS = {
     "errors": (
         "CalibrationError",
@@ -98,9 +99,7 @@ EXPORTS = {
         "born_probability",
         "eigendecompose",
         "equivalent_states",
-        "evolve",
         "from_spectrum",
-        "identity_operator",
         "partial_trace",
         "standard_basis",
         "subsystem_marginal",
@@ -184,3 +183,10 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         qclaim.not_a_name
     assert not hasattr(qclaim, "np")
+
+
+def test_readme_library_layout_lists_every_module():
+    section = README.read_text(encoding="utf-8").split("## Library layout", 1)[1]
+    listed = re.findall(r"^\| `qclaim\.(\w+)` +\|", section, re.M)
+    modules = [path.stem for path in (SRC / "qclaim").glob("*.py") if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)

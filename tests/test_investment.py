@@ -293,6 +293,11 @@ def test_kl_divergence_support_violation():
         qc.kl_divergence([0.5, 0.6], [0.5, 0.5])
 
 
+def test_excess_return_factor_names_the_support_violation():
+    with pytest.raises(qc.ValidationError, match="support violation at outcome 1"):
+        qc.excess_return_factor([0.5, 0.5], [1.0, 0.0])
+
+
 def test_divergence_report_guard():
     with pytest.raises(qc.ValidationError):
         qc.DivergenceReport(-0.1, np.array([1.0]), np.array([1.0]))

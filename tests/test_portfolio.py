@@ -108,9 +108,10 @@ def test_portfolio_observable_validation():
         qc.PortfolioObservable(diag_op(1.0, 2.0), diag_op(1.0, 2.0), (np.inf, 1.0))
 
 
-@pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0), ("a", 1.0), (None, 1.0)])
 def test_portfolio_observable_needs_two_weights(weights):
-    # One weight used to raise IndexError; a third was dropped without notice.
+    # One weight used to raise IndexError; a third was dropped without notice;
+    # a non-numeric weight raised a bare ValueError or TypeError.
     with pytest.raises(qc.ValidationError, match="two finite reals"):
         qc.portfolio_observable(diag_op(1.0, 2.0), diag_op(1.0, 2.0), weights)
 
@@ -244,6 +245,28 @@ def test_nparty_operator_and_payout():
         for w, p, op in zip(weights, parts, ops)
     )
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def reference_nparty_operator(operators, weights):
+    # One Kronecker product per factor per leg: the bit-exact oracle for the operator.
+    dims = [op.dim for op in operators]
+    joint = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for i, w in enumerate(weights):
+        term = np.eye(1)
+        for j, other in enumerate(operators):
+            term = np.kron(term, other.entries if j == i else np.eye(dims[j]))
+        joint += float(w) * term
+    return joint
+
+
+def test_nparty_operator_matches_the_nested_kronecker_build():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        dims = rng.integers(1, 4, size=int(rng.integers(1, 5)))
+        ops = [random_hermitian(rng, int(d)) for d in dims]
+        weights = [0.0 if rng.random() < 0.2 else float(w) for w in rng.normal(size=len(ops))]
+        got = qc.nparty_portfolio_operator(ops, weights).entries
+        assert np.array_equal(got, reference_nparty_operator(ops, weights))
 
 
 def test_nparty_payout_on_entangled_state():

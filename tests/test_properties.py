@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qclaim as qc
-from helpers import random_basis, spanning_quotes
+from helpers import random_basis, random_density, random_hermitian, spanning_quotes
 
 
 @st.composite
@@ -126,3 +126,62 @@ def test_growth_factor_bounds_the_divergence(pair):
     kl = qc.kl_divergence(p, q).kl
     assert np.log(factor) >= kl - 1e-12
     assert factor - 1.0 - kl >= -1e-12
+
+
+@st.composite
+def claim_pairs(draw):
+    """A pricing kernel, two claims on one basis (so their operators commute), and weights."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_density(rng, n, rank=draw(st.integers(1, n)))
+    kernel = qc.PricingKernel(draw(st.floats(0.05, 1.0)), q)
+    basis = random_basis(rng, n)
+    payouts = st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)
+    first, second = (qc.FinancialClaim(basis, draw(payouts)) for _ in range(2))
+    return kernel, draw(st.floats(0.0, 5.0)), first, draw(st.floats(0.0, 5.0)), second
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(claim_pairs())
+def test_price_is_linear_on_commuting_claims(drawn):
+    # P0T tr(q (aX + bY)) = a P0T tr(q X) + b P0T tr(q Y).
+    kernel, a, first, b, second = drawn
+    combined = qc.price(kernel, qc.claim_combine(a, first, b, second))
+    want = a * qc.price(kernel, first) + b * qc.price(kernel, second)
+    assert abs(combined - want) <= qc.DEFAULT_TOLERANCES.price
+
+
+def _reduced(rho: np.ndarray, dims: list[int], keep: int) -> np.ndarray:
+    # Plain-numpy partial trace: trace out every factor but ``keep``, last first,
+    # so each remaining row axis j still pairs with column axis j + ndim / 2.
+    tensor = rho.reshape(dims + dims)
+    for j in reversed(range(len(dims))):
+        if j != keep:
+            tensor = np.trace(tensor, axis1=j, axis2=j + tensor.ndim // 2)
+    return tensor
+
+
+@st.composite
+def nparty_positions(draw):
+    """A low-rank (generically entangled) joint state of 2 or 3 factors, legs and weights."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    total = int(np.prod(dims))
+    state = random_density(rng, total, rank=draw(st.integers(1, min(2, total))))
+    legs = [random_hermitian(rng, d) for d in dims]
+    weights = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(dims), max_size=len(dims)))
+    return state, legs, weights
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nparty_positions())
+def test_nparty_payout_is_additive_over_marginals(drawn):
+    # tr(rho sum_i w_i A_i) = sum_i w_i tr(rho_i A_i) for every joint state, entangled or not.
+    state, legs, weights = drawn
+    dims = [leg.dim for leg in legs]
+    want = sum(
+        w * float(np.real(np.trace(_reduced(state.entries, dims, i) @ leg.entries)))
+        for i, (w, leg) in enumerate(zip(weights, legs))
+    )
+    got = qc.nparty_expected_payout(state, legs, weights)
+    assert abs(got - want) <= qc.DEFAULT_TOLERANCES.additivity * max(1.0, abs(want))

@@ -143,7 +143,7 @@ def test_equivalence_on_shared_support():
 
 def test_tensor_product_convention():
     sz = qc.HermitianOperator(np.diag([0.5, -0.5]))
-    ident = qc.identity_operator(2)
+    ident = qc.HermitianOperator(np.eye(2))
     joint = qc.tensor_product(sz, ident)
     assert np.allclose(joint.entries, np.diag([0.5, 0.5, -0.5, -0.5]))
     # index (a, a') of the first factor varies slowest
@@ -197,29 +197,22 @@ def test_factor_dimensions_must_be_positive_integers(dims):
         qc.partial_trace(operator, dims, "first")
 
 
+@pytest.mark.parametrize("dims", [(2.7, 3), (2, 3.0), (0, 6), (-2, -3), (2, 2), (3, 3)])
+def test_partial_trace_reports_the_subsystem_marginal_fault(dims):
+    # partial_trace leaves the integer and compose rules to subsystem_marginal.
+    operator = qc.HermitianOperator(np.eye(6))
+    for keep, index in (("first", 0), ("second", 1)):
+        with pytest.raises(qc.ValidationError) as direct:
+            qc.subsystem_marginal(operator, dims, index)
+        with pytest.raises(qc.ValidationError) as bipartite:
+            qc.partial_trace(operator, dims, keep)
+        assert type(bipartite.value) is type(direct.value)
+        assert str(bipartite.value) == str(direct.value)
+
+
 @pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
 def test_partial_trace_needs_a_dimension_pair(dims):
     operator = qc.HermitianOperator(np.eye(4))
     with pytest.raises(qc.ValidationError, match="must be a pair"):
         qc.partial_trace(operator, dims, "first")
 
-
-def test_evolve_half_turn_flips_spin():
-    # quarter-cycle phases under the x generator exchange the z outcomes
-    generator = qc.HermitianOperator([[0.0, 0.5], [0.5, 0.0]])
-    up = qc.DensityMatrix(np.diag([1.0, 0.0]))
-    moved = qc.evolve(up, generator, np.pi)
-    assert np.allclose(moved.entries, np.diag([0.0, 1.0]), atol=1e-14)
-
-
-def test_evolve_preserves_spectrum():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        state = random_density(rng, 4)
-        generator = random_hermitian(rng, 4, scale=2.0)
-        moved = qc.evolve(state, generator, rng.uniform(-5.0, 5.0))
-        before = np.linalg.eigvalsh(state.entries)
-        after = np.linalg.eigvalsh(moved.entries)
-        assert np.allclose(before, after, atol=1e-10)
-    still = qc.evolve(state, generator, 0.0)
-    assert np.allclose(still.entries, state.entries, atol=1e-14)
