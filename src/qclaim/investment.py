@@ -104,8 +104,6 @@ class OptimalInvestment:
         multiplier: float,
         budget: float,
         realized_price: float,
-        *,
-        tol: Tolerances = DEFAULT_TOLERANCES,
     ):
         arr = np.array(payouts, dtype=float)
         if arr.ndim != 1 or arr.shape[0] != basis.dim:
@@ -116,11 +114,6 @@ class OptimalInvestment:
             raise ValidationError("optimal payouts must be strictly positive and finite")
         if not (math.isfinite(multiplier) and multiplier > 0):
             raise ValidationError(f"budget multiplier must be positive, got {multiplier!r}")
-        gap = abs(realized_price - budget)
-        if gap > tol.budget * max(1.0, abs(budget)):
-            raise ValidationError(
-                f"budget not saturated: realized price {realized_price!r} vs budget {budget!r}"
-            )
         arr.setflags(write=False)
         self.basis = basis
         self.payouts = arr
@@ -145,18 +138,6 @@ class ReturnReport:
     excess_rate: float
     horizon: float
 
-    def __post_init__(self):
-        for name in ("gross_return", "total_rate", "interest_rate", "excess_rate", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"return report field {name} must be finite")
-        if self.horizon <= 0:
-            raise ValidationError("horizon must be positive")
-        scale = max(1.0, abs(self.gross_return))
-        if abs(self.gross_return - math.exp(self.total_rate * self.horizon)) > 1e-10 * scale:
-            raise ValidationError("gross return inconsistent with total rate")
-        if abs(self.total_rate - self.interest_rate - self.excess_rate) > 1e-10:
-            raise ValidationError("rates do not decompose")
-
 
 @dataclass(frozen=True)
 class DivergenceReport:
@@ -166,17 +147,9 @@ class DivergenceReport:
     p_marginals: np.ndarray
     q_marginals: np.ndarray
 
-    def __post_init__(self):
-        if not math.isfinite(self.kl) or self.kl < 0.0:
-            raise ValidationError(f"divergence must be finite and nonnegative, got {self.kl!r}")
-        for name in ("p_marginals", "q_marginals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
 
 def _checked_distribution(values, name: str, tol: Tolerances) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty vector")
     if not np.isfinite(arr).all() or (arr < 0).any():
@@ -184,6 +157,7 @@ def _checked_distribution(values, name: str, tol: Tolerances) -> np.ndarray:
     total = float(arr.sum())
     if abs(total - 1.0) > tol.trace:
         raise ValidationError(f"{name} must sum to 1, got {total:.12g}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -279,7 +253,10 @@ def optimal_payouts(
         raise SolverError(
             f"multiplier {multiplier!r} gives payouts or a price beyond floating-point range"
         )
-    return OptimalInvestment(basis, payouts, multiplier, float(budget), realized, tol=tol)
+    budget = float(budget)
+    if not abs(realized - budget) <= tol.budget * max(1.0, budget):
+        raise NumericalError(f"budget not saturated: realized price {realized!r} vs budget {budget!r}")
+    return OptimalInvestment(basis, payouts, multiplier, budget, realized)
 
 
 def expected_utility(
@@ -319,12 +296,19 @@ def verify_optimality(
     weights (good coverage of extreme allocations) and are scaled to spend
     the budget exactly.  Returns False as soon as any alternative exceeds
     the candidate's expected utility beyond the optimality tolerance.
+    A candidate whose payouts, priced under ``kernel``, do not cost its
+    budget raises ``ValidationError``.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     p_m, q_m = _positive_marginals(state, kernel, candidate.basis, tol)
+    cost = kernel.discount * float(candidate.payouts @ q_m)
+    if not abs(cost - candidate.budget) <= tol.budget * max(1.0, abs(candidate.budget)):
+        raise ValidationError(
+            f"budget not saturated: candidate costs {cost!r} against budget {candidate.budget!r}"
+        )
     base = float(utility.value(candidate.payouts) @ p_m)
     shares = rng.dirichlet(np.ones(candidate.basis.dim), size=int(trials))
     with np.errstate(divide="ignore", over="ignore"):
@@ -357,7 +341,10 @@ def _checked_pair(
 def excess_return_factor(p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Growth factor sum_j p_j^2 / q_j of the log-optimal payout schedule."""
     p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
-    return float(np.sum(p_m[mask] ** 2 / q_m[mask]))
+    factor = float(np.sum(p_m[mask] ** 2 / q_m[mask]))
+    if not math.isfinite(factor):
+        raise ValidationError(f"growth factor must be finite, got {factor!r}")
+    return factor
 
 
 def kl_divergence(
@@ -365,8 +352,10 @@ def kl_divergence(
 ) -> DivergenceReport:
     """Relative entropy sum_j p_j log(p_j / q_j); zero-probability terms drop out."""
     p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
-    kl = float(np.sum(p_m[mask] * np.log(p_m[mask] / q_m[mask])))
-    return DivergenceReport(max(kl, 0.0), p_m, q_m)
+    kl = max(float(np.sum(p_m[mask] * np.log(p_m[mask] / q_m[mask]))), 0.0)
+    if not math.isfinite(kl):
+        raise ValidationError(f"divergence must be finite and nonnegative, got {kl!r}")
+    return DivergenceReport(kl, p_m, q_m)
 
 
 def rate_of_return(
@@ -409,6 +398,9 @@ def rate_of_return(
     interest = -math.log(kernel.discount) / t
     total = math.log(gross) / t
     report = ReturnReport(gross, total, interest, total - interest, t)
+    for name in ("gross_return", "total_rate", "interest_rate", "excess_rate"):
+        if not math.isfinite(getattr(report, name)):
+            raise ValidationError(f"return report field {name} must be finite")
     if verify_log_optimal:
         factor = excess_return_factor(p_m, q_m, tol=tol)
         gap = abs(gross * kernel.discount - factor)

@@ -106,16 +106,6 @@ class CorrelationReport:
     marginal_means: tuple[float, float]
     computed_under: str
 
-    def __post_init__(self):
-        if self.computed_under not in ("physical", "pricing"):
-            raise ValidationError(
-                f'computed_under must be "physical" or "pricing", got {self.computed_under!r}'
-            )
-        if not math.isfinite(self.covariance) or not all(
-            math.isfinite(m) for m in self.marginal_means
-        ):
-            raise ValidationError("correlation report fields must be finite")
-
 
 def product_state(first: DensityMatrix, second: DensityMatrix) -> TwoPartyState:
     """Uncorrelated joint state: Kronecker product of the two factors."""
@@ -225,6 +215,8 @@ def payout_covariance(
     the joint expectation.  Pass the pricing state with under="pricing" to
     label the result accordingly.
     """
+    if under not in ("physical", "pricing"):
+        raise ValidationError(f'computed_under must be "physical" or "pricing", got {under!r}')
     n, m = state.dims
     if first.dim != n or second.dim != m:
         raise DimensionMismatchError(
@@ -238,6 +230,8 @@ def payout_covariance(
         first.entries - mean_first * np.eye(n), second.entries - mean_second * np.eye(m)
     )
     covariance = _real_trace_product(state.rho.entries, centered)
+    if not all(math.isfinite(x) for x in (covariance, mean_first, mean_second)):
+        raise ValidationError("correlation report fields must be finite")
     return CorrelationReport(covariance, (mean_first, mean_second), under)
 
 

@@ -108,11 +108,6 @@ class AxiomReport:
     axiom3_holds: bool
     violations: tuple[tuple[str, float], ...]
 
-    def __post_init__(self):
-        all_hold = self.axiom1_holds and self.axiom2_holds and self.axiom3_holds
-        if all_hold != (len(self.violations) == 0):
-            raise ValidationError("axiom report inconsistent with its violation list")
-
     @property
     def all_hold(self) -> bool:
         return self.axiom1_holds and self.axiom2_holds and self.axiom3_holds

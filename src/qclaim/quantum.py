@@ -7,6 +7,7 @@ Everything is stored densely; the intended regime is dimension <= 64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,15 +51,6 @@ def _trusted(cls, arr: np.ndarray):
     arr.setflags(write=False)
     setattr(obj, "vectors" if cls is MeasurementBasis else "entries", arr)
     return obj
-
-
-def _eigenvalue_array(eigenvalues, dim: int) -> np.ndarray:
-    vals = np.asarray(eigenvalues, dtype=float)
-    if vals.ndim != 1 or vals.shape[0] != dim:
-        raise DimensionMismatchError(f"{vals.size} eigenvalues for a dimension-{dim} basis")
-    if not np.isfinite(vals).all():
-        raise ValidationError("eigenvalues must be finite")
-    return vals
 
 
 class HermitianOperator:
@@ -139,13 +131,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     basis: MeasurementBasis
 
-    def __post_init__(self):
-        vals = _eigenvalue_array(self.eigenvalues, self.basis.dim)
-        if (np.diff(vals) < 0).any():
-            raise ValidationError("spectrum eigenvalues must be ascending")
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-
 
 def standard_basis(n: int) -> MeasurementBasis:
     """Computational basis of dimension ``n``."""
@@ -156,7 +141,12 @@ def standard_basis(n: int) -> MeasurementBasis:
 
 def from_spectrum(eigenvalues, basis: MeasurementBasis) -> HermitianOperator:
     """Assemble sum_j eigenvalues[j] |v_j><v_j| over the given basis."""
-    return _assemble(_eigenvalue_array(eigenvalues, basis.dim), basis.vectors)
+    vals = np.asarray(eigenvalues, dtype=float)
+    if vals.ndim != 1 or vals.shape[0] != basis.dim:
+        raise DimensionMismatchError(f"{vals.size} eigenvalues for a dimension-{basis.dim} basis")
+    if not np.isfinite(vals).all():
+        raise ValidationError("eigenvalues must be finite")
+    return _assemble(vals, basis.vectors)
 
 
 def _spectral_sum(vals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -184,8 +174,9 @@ def eigendecompose(
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     basis = _trusted(MeasurementBasis, vecs.T.copy())
     err = float(np.abs(_assemble(vals, basis.vectors).entries - operator.entries).max())
-    if err > tol.reconstruction:
+    if not err <= tol.reconstruction:
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
+    vals.setflags(write=False)
     return Spectrum(vals, basis)
 
 
@@ -278,15 +269,15 @@ def subsystem_marginal(
     if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
         raise ValidationError(f"factor dimensions must be positive integers, got {dims!r}")
     dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != operator.dim:
+    if math.prod(dims) != operator.dim:
         raise DimensionMismatchError(
             f"factor dimensions {dims} do not compose to operator dimension {operator.dim}"
         )
     if not 0 <= index < len(dims):
         raise ValidationError(f"subsystem index {index} out of range for {len(dims)} factors")
     # Row index = (before, kept, after); sum the diagonals of "before" and "after".
-    before = int(np.prod(dims[:index], initial=1))
-    after = int(np.prod(dims[index + 1 :], initial=1))
+    before = math.prod(dims[:index])
+    after = math.prod(dims[index + 1 :])
     blocks = operator.entries.reshape(before, dims[index], after, before, dims[index], after)
     return _trusted(HermitianOperator, np.einsum("aibajb->ij", blocks))
 

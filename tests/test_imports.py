@@ -8,6 +8,7 @@ README's table of modules.  Fresh interpreters run the import checks,
 since the test process itself has long since loaded everything.
 """
 
+import importlib
 import json
 import os
 import re
@@ -167,6 +168,14 @@ def test_star_import_and_dir_cover_the_exports():
     assert sorted(k for k in namespace if not k.startswith("_")) == EXPORTED
     assert sorted(qclaim.__all__) == EXPORTED
     assert set(EXPORTED) <= set(dir(qclaim))
+
+
+@pytest.mark.parametrize("module", sorted(qclaim._EXPORTS))
+def test_module_all_matches_the_package_export_row(module):
+    # Both lists are kept by hand; a name added to one must be added to the other.
+    assert sorted(importlib.import_module(f"qclaim.{module}").__all__) == sorted(
+        qclaim._EXPORTS[module]
+    )
 
 
 def test_names_are_resolved_on_each_access(monkeypatch):

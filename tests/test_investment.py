@@ -176,8 +176,6 @@ def test_investment_record_guards():
         qc.OptimalInvestment(basis, [1.0, 0.0], 1.0, 1.0, 1.0)
     with pytest.raises(qc.ValidationError):
         qc.OptimalInvestment(basis, [1.0, 1.0], -2.0, 1.0, 1.0)
-    with pytest.raises(qc.ValidationError):
-        qc.OptimalInvestment(basis, [1.0, 1.0], 1.0, 1.0, 1.5)
 
 
 def test_expected_utility_flat_and_optimal():
@@ -227,6 +225,17 @@ def test_flat_allocation_fails_verification():
     assert not qc.verify_optimality(flat, state, kernel, qc.UtilityFunction.log(), trials=500)
 
 
+@pytest.mark.parametrize("payout, cost", [(10.0, "9.5"), (0.1, "0.095")])
+def test_verify_optimality_prices_the_candidate(payout, cost):
+    # The record's budget and realized price are whatever the caller passed;
+    # only the payouts priced under the kernel show what the candidate spends.
+    state = diag_state(0.8, 0.2)
+    kernel = qc.PricingKernel(0.95, diag_state(0.5, 0.5))
+    candidate = qc.OptimalInvestment(qc.standard_basis(2), [payout, payout], 1.0, 1.0, 1.0)
+    with pytest.raises(qc.ValidationError, match=f"candidate costs {cost} against budget 1.0"):
+        qc.verify_optimality(candidate, state, kernel, qc.UtilityFunction.log(), trials=16)
+
+
 def test_bond_payouts_earn_the_interest_rate():
     rng = np.random.default_rng(17)
     state = random_density(rng, 3)
@@ -269,11 +278,11 @@ def test_horizon_scales_rates_not_gross():
     assert two.excess_rate == pytest.approx(one.excess_rate / 2.0)
 
 
-def test_return_report_guards():
-    with pytest.raises(qc.ValidationError):
-        qc.ReturnReport(2.0, math.log(2.0), 0.1, 0.5, 1.0)
-    with pytest.raises(qc.ValidationError):
-        qc.ReturnReport(2.0, 0.5, 0.1, 0.4, -1.0)
+def test_subnormal_horizon_overflows_the_rates():
+    state = diag_state(0.7, 0.3)
+    kernel = qc.PricingKernel(0.9, diag_state(0.4, 0.6))
+    with pytest.raises(qc.ValidationError, match="return report field total_rate must be finite"):
+        qc.rate_of_return(state, kernel, qc.standard_basis(2), [2.0, 1.0], horizon=5e-324)
 
 
 def test_kl_divergence_values():
@@ -298,9 +307,25 @@ def test_excess_return_factor_names_the_support_violation():
         qc.excess_return_factor([0.5, 0.5], [1.0, 0.0])
 
 
-def test_divergence_report_guard():
-    with pytest.raises(qc.ValidationError):
-        qc.DivergenceReport(-0.1, np.array([1.0]), np.array([1.0]))
+def test_subnormal_pricing_mass_overflows_divergence_and_growth_factor():
+    p, q = [0.5, 0.5], [1.0, 5e-324]
+    with np.errstate(over="ignore"):
+        with pytest.raises(
+            qc.ValidationError, match="divergence must be finite and nonnegative, got inf"
+        ):
+            qc.kl_divergence(p, q)
+        with pytest.raises(qc.ValidationError, match="growth factor must be finite, got inf"):
+            qc.excess_return_factor(p, q)
+
+
+def test_kl_divergence_leaves_the_callers_arrays_writeable():
+    p, q = np.array([0.8, 0.2]), np.array([0.5, 0.5])
+    div = qc.kl_divergence(p, q)
+    assert p.flags.writeable and q.flags.writeable
+    with pytest.raises(ValueError):
+        div.p_marginals[0] = 0.0
+    p[0] = 0.0
+    assert div.p_marginals[0] == 0.8
 
 
 def test_excess_factor_dominates_divergence():

@@ -225,8 +225,18 @@ def test_covariance_under_pricing_state():
     bell = qc.TwoPartyState((2, 2), bell_state())
     report = qc.payout_covariance(bell, diag_op(1.0, -1.0), diag_op(1.0, -1.0), under="pricing")
     assert report.computed_under == "pricing"
-    with pytest.raises(qc.ValidationError):
-        qc.payout_covariance(bell, diag_op(1.0, -1.0), diag_op(1.0, -1.0), under="market")
+    for under in ("market", "risk-neutral"):
+        with pytest.raises(qc.ValidationError, match=f'"physical" or "pricing", got {under!r}'):
+            qc.payout_covariance(bell, diag_op(1.0, -1.0), diag_op(1.0, -1.0), under=under)
+
+
+def test_covariance_rejects_overflowing_legs():
+    bell = qc.TwoPartyState((2, 2), bell_state())
+    leg = diag_op(1e308, -1e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        qc.ValidationError, match="correlation report fields must be finite"
+    ):
+        qc.payout_covariance(bell, leg, leg)
 
 
 def test_nparty_operator_and_payout():

@@ -169,13 +169,6 @@ def test_axiom1_fails_when_physical_support_is_larger():
     assert any("pricing" in label and "null eigenvector" in label for label, _ in report.violations)
 
 
-def test_axiom_report_consistency_guard():
-    with pytest.raises(qc.ValidationError):
-        qc.AxiomReport(True, True, True, (("phantom", 1.0),))
-    with pytest.raises(qc.ValidationError):
-        qc.AxiomReport(False, True, True, ())
-
-
 def test_calibrate_bond_only_in_dimension_one():
     kernel = qc.calibrate(1, 0.97, [])
     assert kernel.discount == pytest.approx(0.97)

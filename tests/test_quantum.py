@@ -79,8 +79,15 @@ def test_spectrum_is_read_only_and_sorted():
     assert list(spec.eigenvalues) == sorted(spec.eigenvalues)
     with pytest.raises(ValueError):
         spec.eigenvalues[0] = 7.0
-    with pytest.raises(qc.ValidationError):
-        qc.Spectrum(np.array([1.0, 0.0]), qc.standard_basis(2))
+
+
+def test_eigendecompose_rejects_an_overflowing_spectrum():
+    # eigh returns eigenvalues [0, inf]; the reconstruction error is nan and must fail the gate.
+    op = qc.HermitianOperator([[1e308, 1e308], [1e308, 1e308]])
+    with np.errstate(invalid="ignore"), pytest.raises(
+        qc.NumericalError, match="eigendecomposition reconstruction error nan"
+    ):
+        qc.eigendecompose(op)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
