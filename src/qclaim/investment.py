@@ -155,7 +155,7 @@ def _checked_distribution(values, name: str, tol: Tolerances) -> np.ndarray:
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise ValidationError(f"{name} must be finite and nonnegative")
     total = float(arr.sum())
-    if abs(total - 1.0) > tol.trace:
+    if not abs(total - 1.0) <= tol.trace:
         raise ValidationError(f"{name} must sum to 1, got {total:.12g}")
     arr.setflags(write=False)
     return arr
@@ -341,7 +341,8 @@ def _checked_pair(
 def excess_return_factor(p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Growth factor sum_j p_j^2 / q_j of the log-optimal payout schedule."""
     p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
-    factor = float(np.sum(p_m[mask] ** 2 / q_m[mask]))
+    with np.errstate(over="ignore"):  # a subnormal q_j overflows; the finite check names it
+        factor = float(np.sum(p_m[mask] ** 2 / q_m[mask]))
     if not math.isfinite(factor):
         raise ValidationError(f"growth factor must be finite, got {factor!r}")
     return factor
@@ -352,7 +353,8 @@ def kl_divergence(
 ) -> DivergenceReport:
     """Relative entropy sum_j p_j log(p_j / q_j); zero-probability terms drop out."""
     p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
-    kl = max(float(np.sum(p_m[mask] * np.log(p_m[mask] / q_m[mask]))), 0.0)
+    with np.errstate(over="ignore"):  # a subnormal q_j overflows; the finite check names it
+        kl = max(float(np.sum(p_m[mask] * np.log(p_m[mask] / q_m[mask]))), 0.0)
     if not math.isfinite(kl):
         raise ValidationError(f"divergence must be finite and nonnegative, got {kl!r}")
     return DivergenceReport(kl, p_m, q_m)
@@ -404,7 +406,7 @@ def rate_of_return(
     if verify_log_optimal:
         factor = excess_return_factor(p_m, q_m, tol=tol)
         gap = abs(gross * kernel.discount - factor)
-        if gap > tol.excess_identity * max(1.0, factor):
+        if not gap <= tol.excess_identity * max(1.0, factor):
             raise NumericalError(
                 f"discounted gross return {gross * kernel.discount:.12g} does not match "
                 f"the log-optimal growth factor {factor:.12g}"

@@ -253,7 +253,7 @@ def structure_diagnostics(
             v = np.array(ray.components, dtype=float)
             total += np.outer(v, v) / ray.norm_squared()
         gap = float(np.abs(total - np.eye(4)).max())
-        if gap > tol.completeness:
+        if not gap <= tol.completeness:
             problems.append(f"tetrad {b}: projectors sum to identity only within {gap:.3e}")
     return problems
 

@@ -135,7 +135,7 @@ def separable_mixture(
             )
         joint += w * np.kron(first.entries, second.entries)
         total += w
-    if abs(total - 1.0) > tol.trace:
+    if not abs(total - 1.0) <= tol.trace:
         raise ValidationError(f"mixture weights must sum to 1, got {total:.12g}")
     return TwoPartyState(dims, _trusted(DensityMatrix, joint))
 
@@ -224,12 +224,13 @@ def payout_covariance(
         )
     reduced_first = partial_trace(state.rho, state.dims, "first")
     reduced_second = partial_trace(state.rho, state.dims, "second")
-    mean_first = _real_trace_product(reduced_first.entries, first.entries)
-    mean_second = _real_trace_product(reduced_second.entries, second.entries)
-    centered = np.kron(
-        first.entries - mean_first * np.eye(n), second.entries - mean_second * np.eye(m)
-    )
-    covariance = _real_trace_product(state.rho.entries, centered)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing legs end in the finite check
+        mean_first = _real_trace_product(reduced_first.entries, first.entries)
+        mean_second = _real_trace_product(reduced_second.entries, second.entries)
+        centered = np.kron(
+            first.entries - mean_first * np.eye(n), second.entries - mean_second * np.eye(m)
+        )
+        covariance = _real_trace_product(state.rho.entries, centered)
     if not all(math.isfinite(x) for x in (covariance, mean_first, mean_second)):
         raise ValidationError("correlation report fields must be finite")
     return CorrelationReport(covariance, (mean_first, mean_second), under)
@@ -250,7 +251,9 @@ def nparty_portfolio_operator(
     joint = np.zeros((total_dim, total_dim), dtype=complex)
     for i, op in enumerate(ops):
         before, after = math.prod(dims[:i]), math.prod(dims[i + 1 :])
-        joint += w[i] * np.kron(np.kron(np.eye(before), op.entries), np.eye(after))
+        # Leg i is id x op x id: add w * op to every block diagonal in the other factors' indices.
+        blocks = joint.reshape(before, dims[i], after, before, dims[i], after)
+        np.einsum("aibajb->abij", blocks)[...] += w[i] * op.entries
     return _trusted(HermitianOperator, joint)
 
 

@@ -24,10 +24,13 @@ from .quantum import (
     HermitianOperator,
     MeasurementBasis,
     _assemble,
+    _hermitian_part,
+    _probabilities,
+    _quadratic_forms,
+    _spectra,
     _spectral_sum,
     _trusted,
     basis_marginals,
-    eigendecompose,
     standard_basis,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -174,21 +177,50 @@ def claim_combine(
         raise DimensionMismatchError(
             f"claims of dimension {first.dim} and {second.dim}"
         )
-    return _combine(a, first.as_operator().entries, b, second.as_operator().entries, tol)
+    x, y = first.as_operator().entries, second.as_operator().entries
+    payouts, vectors, _ = _combinations(x[None], y[None], ((a, b),), tol)
+    return FinancialClaim(_trusted(MeasurementBasis, vectors[0]), payouts[0])
 
 
-def _combine(a: float, x: np.ndarray, b: float, y: np.ndarray, tol: Tolerances) -> FinancialClaim:
-    spectrum = eigendecompose(_trusted(HermitianOperator, a * x + b * y), tol=tol)
-    payouts = spectrum.eigenvalues.copy()
-    tiny = (payouts < 0.0) & (payouts >= -tol.psd)
-    payouts[tiny] = 0.0
-    if (payouts < 0.0).any():
+# The weights (a, b) of the two combinations a * X + b * Y that axiom 2 prices per commuting pair.
+_AXIOM2_WEIGHTS = ((1.0, 1.0), (0.5, 2.0))
+# Matrix entries per stack of combinations (256 KB of complex).  Larger blocks put their
+# temporaries in freshly faulted pages and out of cache: at dimension 64, blocks of F pairs
+# ran slower than pricing one pair at a time.
+_BLOCK_ENTRIES = 2**14
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a[k] @ b[k] for each row k, by the same dot routine as ``payouts @ marginals`` in ``price``.
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _combinations(x: np.ndarray, y: np.ndarray, weights, tol: Tolerances, q: np.ndarray | None = None):
+    # Payouts and eigenbasis rows of a * x[k] + b * y[k] for each k and each (a, b) in weights,
+    # k-major; with a state q, also their clipped marginals under q.  The first combination
+    # that fails raises, at its first failing stage: convergence, reconstruction, negative
+    # payout, then (with q) Born range.
+    n = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the reconstruction gate
+        stack = np.stack([a * x + b * y for a, b in weights], axis=1).reshape(-1, n, n)
+    try:
+        payouts, vectors, error = _spectra(stack)
+    except NumericalError:
+        if len(stack) > 1:  # name the first combination that fails: rerun them one at a time
+            for k in range(len(x)):
+                for w in weights:
+                    _combinations(x[k : k + 1], y[k : k + 1], (w,), tol, q)
+        raise
+    payouts[(payouts < 0.0) & (payouts >= -tol.psd)] = 0.0
+    failed = ~(error <= tol.reconstruction) | (payouts < 0.0).any(axis=1)
+    first = int(np.argmax(failed)) if failed.any() else len(stack)
+    # Born range of every combination before the first failure, which then raises.
+    marginals = None if q is None else _probabilities(_quadratic_forms(q, vectors[:first]), tol)
+    if first < len(stack):
+        if not error[first] <= tol.reconstruction:
+            raise NumericalError(f"eigendecomposition reconstruction error {error[first]:.3e}")
         raise NumericalError("combination produced a negative payout beyond tolerance")
-    return FinancialClaim(spectrum.basis, payouts)
-
-
-def _commute(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> bool:
-    return float(np.abs(x @ y - y @ x).max()) <= tol.hermiticity
+    return payouts, vectors, marginals
 
 
 def check_axioms(
@@ -205,6 +237,18 @@ def check_axioms(
     physical and the pricing state.  Axiom 2 (linearity) is checked on
     commuting pairs, including each claim against the bond.  Axiom 3 pins
     the bond price to the discount factor.  Deterministic; no randomness.
+
+    Each stage is stacked numpy work over the F = len(sample_claims) + 1
+    members of the family (the claims and the bond): one marginal pass
+    under both states for all probes, one spectral sum for the family's
+    operators, one commutator test of each member against all later
+    ones, and the combinations of commuting pairs in blocks of at most F
+    pairs (fewer once a block would pass 2^14 matrix entries), each with
+    one batched eigendecomposition and one marginal pass.  Temporaries
+    stay O(F n^2).  When several items fail, the error raised is the
+    first in probe order (price before expectation), then the family's
+    prices, then pair order (convergence, reconstruction, negative
+    payout, Born range).
     """
     n = kernel.dim
     if state.dim != n:
@@ -216,61 +260,71 @@ def check_axioms(
     violations: list[tuple[str, float]] = []
 
     # Axiom 1: zero price iff zero expectation, with null-space probes.
-    probes: list[tuple[str, FinancialClaim]] = [(f"sample claim {i}", c) for i, c in enumerate(claims)]
+    labels = [f"sample claim {i}" for i in range(len(claims))]
+    payouts = [c.payouts for c in claims]
+    bases = [c.basis.vectors for c in claims]
     for label, probed in (("physical", state), ("pricing", kernel.q)):
         vals, vecs = np.linalg.eigh(probed.entries)
-        if (vals < tol.null_space).any():
-            eigenbasis = _trusted(MeasurementBasis, vecs.T.copy())
-            for j in np.flatnonzero(vals < tol.null_space):
-                probes.append(
-                    (
-                        f"unit claim on {label}-state null eigenvector {int(j)}",
-                        arrow_debreu(eigenbasis, int(j)),
-                    )
-                )
-    axiom1 = True
-    for label, claim in probes:
-        value = price(kernel, claim, tol=tol)
-        expectation = expected_payout(state, claim, tol=tol)
-        if (value <= tol.price) != (expectation <= tol.price):
-            axiom1 = False
-            violations.append(
-                (
-                    f"axiom 1: {label}: price {value:.6g} vs expected payout {expectation:.6g}",
-                    float(max(value, expectation)),
-                )
+        for j in np.flatnonzero(vals < tol.null_space):
+            labels.append(f"unit claim on {label}-state null eigenvector {int(j)}")
+            payouts.append(np.eye(n)[j])
+            bases.append(vecs.T)
+    probes = len(labels)
+    payouts = np.array(payouts).reshape(probes, n)
+    # forms[k] holds probe k's outcome weights under q and then under the physical state; the
+    # bond's basis comes last.  Its first 2P + 1 rows are therefore checked in the order price,
+    # expectation, probe by probe, then the bond's price (never needed under the physical state).
+    bases = np.stack(bases + [np.eye(n)])
+    forms = _quadratic_forms(np.stack((kernel.q.entries, state.entries)), bases[:, None])
+    marginals = _probabilities(forms.reshape(-1, n)[: 2 * probes + 1], tol)
+    values = kernel.discount * _row_dots(payouts, marginals[0 : 2 * probes : 2])
+    expectations = _row_dots(payouts, marginals[1 : 2 * probes : 2])
+    mismatched = (values <= tol.price) != (expectations <= tol.price)
+    for k in np.flatnonzero(mismatched):
+        value, expectation = float(values[k]), float(expectations[k])
+        violations.append(
+            (
+                f"axiom 1: {labels[k]}: price {value:.6g} vs expected payout {expectation:.6g}",
+                max(value, expectation),
             )
+        )
 
     # Axiom 2: linearity on commuting families (the bond commutes with everything).
     axiom2 = True
-    bond = discount_bond(n)
-    family = claims + [bond]
-    labels = [f"claim {i}" for i in range(len(claims))] + ["bond"]
-    operators = [c.as_operator().entries for c in family]
-    prices = [price(kernel, c, tol=tol) for c in family]
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if not _commute(operators[i], operators[j], tol):
-                continue
-            for a, b in ((1.0, 1.0), (0.5, 2.0)):
-                combined = _combine(a, operators[i], b, operators[j], tol)
-                gap = abs(price(kernel, combined, tol=tol) - a * prices[i] - b * prices[j])
-                if gap > tol.price:
-                    axiom2 = False
-                    violations.append(
-                        (
-                            f"axiom 2: {labels[i]} and {labels[j]} with weights ({a}, {b}): linearity gap",
-                            float(gap),
-                        )
-                    )
+    size = len(claims) + 1
+    names = [f"claim {i}" for i in range(len(claims))] + ["bond"]
+    bond_price = kernel.discount * float(np.ones(n) @ marginals[2 * probes])
+    prices = np.append(values[: len(claims)], bond_price)
+    family = np.vstack((payouts[: len(claims)], np.ones(n)))  # the claims' payouts, then the bond's
+    operators = _hermitian_part(_spectral_sum(family, bases[[*range(len(claims)), probes]]))
+    first, second = [], []
+    for i in range(size - 1):
+        later = operators[i + 1 :]
+        deviation = np.abs(operators[i] @ later - later @ operators[i]).max(axis=(1, 2))
+        commuting = i + 1 + np.flatnonzero(deviation <= tol.hermiticity)
+        first += [i] * len(commuting)
+        second += commuting.tolist()
+    a, b = np.array(_AXIOM2_WEIGHTS).T
+    block = max(1, min(size, _BLOCK_ENTRIES // (2 * n * n)))  # commuting pairs per block
+    for start in range(0, len(first), block):
+        i, j = np.array(first[start : start + block]), np.array(second[start : start + block])
+        combined, _, weights = _combinations(
+            operators[i], operators[j], _AXIOM2_WEIGHTS, tol, q=kernel.q.entries
+        )
+        combined_prices = kernel.discount * _row_dots(combined, weights).reshape(-1, 2)
+        gaps = np.abs(combined_prices - a * prices[i, None] - b * prices[j, None])
+        for k, w in zip(*np.nonzero(~(gaps <= tol.price))):  # NaN is a violation too
+            axiom2 = False
+            pair = f"{names[i[k]]} and {names[j[k]]} with weights {_AXIOM2_WEIGHTS[w]}"
+            violations.append((f"axiom 2: {pair}: linearity gap", float(gaps[k, w])))
 
     # Axiom 3: the bond trades at the discount factor.
-    bond_gap = abs(prices[-1] - kernel.discount)
+    bond_gap = abs(bond_price - kernel.discount)
     axiom3 = bond_gap <= tol.price
     if not axiom3:
         violations.append(("axiom 3: bond price differs from discount factor", float(bond_gap)))
 
-    return AxiomReport(axiom1, axiom2, axiom3, tuple(violations))
+    return AxiomReport(not mismatched.any(), axiom2, axiom3, tuple(violations))
 
 
 def _design_matrix(claims, n: int) -> np.ndarray:
@@ -342,7 +396,7 @@ def calibrate(
             f"quote system is rank-deficient: rank {rank} of {n * n} Hermitian degrees of freedom"
         )
     residual = float(np.abs(system @ solution - target).max())
-    if residual > tol.calibration:
+    if not residual <= tol.calibration:
         raise CalibrationError(
             f"quotes are mutually inconsistent: max residual {residual:.3e}"
         )

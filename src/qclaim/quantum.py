@@ -65,7 +65,7 @@ class HermitianOperator:
     def __init__(self, entries, *, tol: Tolerances = DEFAULT_TOLERANCES):
         arr = _complex_square(entries, type(self).__name__)
         deviation = float(np.abs(arr - arr.conj().T).max())
-        if deviation > tol.hermiticity:
+        if not deviation <= tol.hermiticity:
             raise ValidationError(
                 f"{type(self).__name__} is not Hermitian: max |A - A^dagger| = {deviation:.3e}"
             )
@@ -91,10 +91,10 @@ class DensityMatrix(HermitianOperator):
     def __init__(self, entries, *, tol: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(entries, tol=tol)
         trace = complex(self.entries.trace())
-        if abs(trace - 1.0) > tol.trace:
+        if not abs(trace - 1.0) <= tol.trace:
             raise ValidationError(f"state trace must be 1, got {trace.real:.12g}")
         smallest = float(np.linalg.eigvalsh(self.entries)[0])
-        if smallest < -tol.psd:
+        if not smallest >= -tol.psd:
             raise ValidationError(
                 f"state is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
             )
@@ -109,7 +109,7 @@ class MeasurementBasis:
         arr = _complex_square(vectors, "measurement basis")
         gram = arr.conj() @ arr.T
         deviation = float(np.abs(gram - np.eye(arr.shape[0])).max())
-        if deviation > tol.orthonormality:
+        if not deviation <= tol.orthonormality:
             raise ValidationError(
                 f"basis vectors are not orthonormal: max Gram deviation {deviation:.3e}"
             )
@@ -154,10 +154,31 @@ def _spectral_sum(vals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (np.swapaxes(vectors, -1, -2) * vals[..., None, :]) @ vectors.conj()
 
 
+def _hermitian_part(out: np.ndarray) -> np.ndarray:
+    # (A + A^dagger) / 2 of one matrix or a stack, in place: kills the rounding asymmetry of a spectral sum.
+    out += np.swapaxes(out.conj(), -1, -2)
+    out /= 2.0
+    return out
+
+
 def _assemble(vals: np.ndarray, vectors: np.ndarray) -> HermitianOperator:
-    out = _spectral_sum(vals, vectors)
-    out = (out + out.conj().T) / 2.0  # kill rounding asymmetry; Hermitian by construction
-    return _trusted(HermitianOperator, out)
+    return _trusted(HermitianOperator, _hermitian_part(_spectral_sum(vals, vectors)))
+
+
+def _spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Ascending eigenvalues, eigenbasis rows and max reconstruction error of one Hermitian
+    # matrix or a (Q, n, n) stack; a batch that fails to converge raises as a whole.
+    try:
+        vals, vecs = np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    vectors = np.swapaxes(vecs, -1, -2).copy()
+    del vecs  # one stack fewer alive while the rebuild below runs
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spectrum fails the gate as nan
+        rebuilt = _hermitian_part(_spectral_sum(vals, vectors))
+        rebuilt -= entries
+        error = np.abs(rebuilt).max(axis=(-2, -1))
+    return vals, vectors, error
 
 
 def eigendecompose(
@@ -168,27 +189,28 @@ def eigendecompose(
     Within a degenerate eigenspace the returned vectors are an arbitrary
     orthonormal choice; only the reconstructed operator is promised.
     """
-    try:
-        vals, vecs = np.linalg.eigh(operator.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    basis = _trusted(MeasurementBasis, vecs.T.copy())
-    err = float(np.abs(_assemble(vals, basis.vectors).entries - operator.entries).max())
+    vals, vectors, err = _spectra(operator.entries)
     if not err <= tol.reconstruction:
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
     vals.setflags(write=False)
-    return Spectrum(vals, basis)
+    return Spectrum(vals, _trusted(MeasurementBasis, vectors))
 
 
 def _quadratic_forms(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # <v|state|v> for every row v of ``rows``.
-    return ((rows.conj() @ state) * rows).sum(axis=1).real
+    # <v|state|v> for every row v of ``rows``; stacks of rows and states broadcast.
+    products = rows.conj() @ state
+    products *= rows
+    return products.sum(axis=-1).real
 
 
 def _probabilities(values: np.ndarray, tol: Tolerances) -> np.ndarray:
-    low, high = values.min(), values.max()
-    if low < -tol.psd or high > 1.0 + tol.psd:
-        worst = low if low < -tol.psd else high
+    # Clipped Born weights over the trailing axis; the first row (C order) out of range raises.
+    rows = values.reshape(-1, values.shape[-1])
+    low, high = rows.min(axis=1), rows.max(axis=1)
+    outside = ~((low >= -tol.psd) & (high <= 1.0 + tol.psd))  # NaN fails too
+    if outside.any():
+        k = int(np.argmax(outside))
+        worst = low[k] if low[k] < -tol.psd else high[k]
         raise NumericalError(f"Born probability {worst:.6g} lies outside [0, 1]")
     return np.clip(values, 0.0, 1.0)
 
@@ -205,7 +227,7 @@ def born_probability(
     if not np.isfinite(v).all():
         raise ValidationError("outcome vector contains non-finite entries")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol.orthonormality:
+    if not abs(norm - 1.0) <= tol.orthonormality:
         raise ValidationError(f"outcome vector is not normalized: |v| = {norm:.12g}")
     return float(_probabilities(_quadratic_forms(state.entries, v[None, :]), tol)[0])
 

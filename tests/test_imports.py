@@ -8,6 +8,7 @@ README's table of modules.  Fresh interpreters run the import checks,
 since the test process itself has long since loaded everything.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -199,3 +200,29 @@ def test_readme_library_layout_lists_every_module():
     listed = re.findall(r"^\| `qclaim\.(\w+)` +\|", section, re.M)
     modules = [path.stem for path in (SRC / "qclaim").glob("*.py") if path.stem != "__init__"]
     assert sorted(listed) == sorted(modules)
+
+
+def _reads_tol(node) -> bool:
+    return any(
+        isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "tol"
+        for n in ast.walk(node)
+    )
+
+
+def test_no_tolerance_gate_lets_nan_through():
+    # Every comparison with NaN is false, so a gate written ``x > tol.f`` or ``x < -tol.f``
+    # passes NaN.  An ``if`` that raises must not compare with > or < against a tolerance;
+    # gates are written ``not x <= tol.f``, which NaN fails.
+    loose = []
+    for path in sorted((SRC / "qclaim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.If):
+                continue
+            if not any(isinstance(n, ast.Raise) for statement in node.body for n in ast.walk(statement)):
+                continue
+            for compare in (n for n in ast.walk(node.test) if isinstance(n, ast.Compare)):
+                sides = [compare.left, *compare.comparators]
+                for op, left, right in zip(compare.ops, sides, sides[1:]):
+                    if isinstance(op, (ast.Gt, ast.Lt)) and (_reads_tol(left) or _reads_tol(right)):
+                        loose.append(f"{path.name}:{compare.lineno}")
+    assert loose == []

@@ -308,14 +308,12 @@ def test_excess_return_factor_names_the_support_violation():
 
 
 def test_subnormal_pricing_mass_overflows_divergence_and_growth_factor():
+    # No errstate here: the suite turns RuntimeWarning into an error, and the named one must win.
     p, q = [0.5, 0.5], [1.0, 5e-324]
-    with np.errstate(over="ignore"):
-        with pytest.raises(
-            qc.ValidationError, match="divergence must be finite and nonnegative, got inf"
-        ):
-            qc.kl_divergence(p, q)
-        with pytest.raises(qc.ValidationError, match="growth factor must be finite, got inf"):
-            qc.excess_return_factor(p, q)
+    with pytest.raises(qc.ValidationError, match="divergence must be finite and nonnegative, got inf"):
+        qc.kl_divergence(p, q)
+    with pytest.raises(qc.ValidationError, match="growth factor must be finite, got inf"):
+        qc.excess_return_factor(p, q)
 
 
 def test_kl_divergence_leaves_the_callers_arrays_writeable():

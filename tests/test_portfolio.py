@@ -233,9 +233,8 @@ def test_covariance_under_pricing_state():
 def test_covariance_rejects_overflowing_legs():
     bell = qc.TwoPartyState((2, 2), bell_state())
     leg = diag_op(1e308, -1e308)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        qc.ValidationError, match="correlation report fields must be finite"
-    ):
+    # No errstate here: the suite turns RuntimeWarning into an error, and the named one must win.
+    with pytest.raises(qc.ValidationError, match="correlation report fields must be finite"):
         qc.payout_covariance(bell, leg, leg)
 
 

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qclaim as qc
 from helpers import random_basis, random_density, shared_support_pair, spanning_quotes
 from qclaim.pricing import _design_matrix
+from qclaim.quantum import _trusted
+from qclaim.tolerances import DEFAULT_TOLERANCES
 
 
 def diag_state(*weights):
@@ -282,3 +286,173 @@ def test_design_matrix_matches_the_entry_loop(n):
         solution, *_ = np.linalg.lstsq(reference, target, rcond=None)
         recovered = qc.calibrate(n, kernel.discount, quotes)
         assert np.array_equal(recovered.q.entries, _reference_state(solution, n))
+
+
+# The per-pair audit that check_axioms replaced, kept as its reference: one price and
+# expectation per probe, then per pair a commutator test and, per weight pair, one
+# eigendecomposition, claim and price.
+def _reference_combine(a, x, b, y, tol):
+    spectrum = qc.eigendecompose(_trusted(qc.HermitianOperator, a * x + b * y), tol=tol)
+    payouts = spectrum.eigenvalues.copy()
+    tiny = (payouts < 0.0) & (payouts >= -tol.psd)
+    payouts[tiny] = 0.0
+    if (payouts < 0.0).any():
+        raise qc.NumericalError("combination produced a negative payout beyond tolerance")
+    return qc.FinancialClaim(spectrum.basis, payouts)
+
+
+def _reference_commute(x, y, tol):
+    return float(np.abs(x @ y - y @ x).max()) <= tol.hermiticity
+
+
+def _reference_check_axioms(kernel, state, claims, tol):
+    n = kernel.dim
+    violations = []
+    probes = [(f"sample claim {i}", c) for i, c in enumerate(claims)]
+    for label, probed in (("physical", state), ("pricing", kernel.q)):
+        vals, vecs = np.linalg.eigh(probed.entries)
+        eigenbasis = _trusted(qc.MeasurementBasis, vecs.T.copy())
+        for j in np.flatnonzero(vals < tol.null_space):
+            label_j = f"unit claim on {label}-state null eigenvector {int(j)}"
+            probes.append((label_j, qc.arrow_debreu(eigenbasis, int(j))))
+    axiom1 = True
+    for label, claim in probes:
+        value = qc.price(kernel, claim, tol=tol)
+        expectation = qc.expected_payout(state, claim, tol=tol)
+        if (value <= tol.price) != (expectation <= tol.price):
+            axiom1 = False
+            violations.append(
+                (
+                    f"axiom 1: {label}: price {value:.6g} vs expected payout {expectation:.6g}",
+                    float(max(value, expectation)),
+                )
+            )
+    axiom2 = True
+    family = list(claims) + [qc.discount_bond(n)]
+    labels = [f"claim {i}" for i in range(len(claims))] + ["bond"]
+    operators = [c.as_operator().entries for c in family]
+    prices = [qc.price(kernel, c, tol=tol) for c in family]
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            if not _reference_commute(operators[i], operators[j], tol):
+                continue
+            for a, b in ((1.0, 1.0), (0.5, 2.0)):
+                combined = _reference_combine(a, operators[i], b, operators[j], tol)
+                gap = abs(qc.price(kernel, combined, tol=tol) - a * prices[i] - b * prices[j])
+                if not gap <= tol.price:
+                    axiom2 = False
+                    pair = f"{labels[i]} and {labels[j]} with weights ({a}, {b})"
+                    violations.append((f"axiom 2: {pair}: linearity gap", float(gap)))
+    bond_gap = abs(prices[-1] - kernel.discount)
+    axiom3 = bond_gap <= tol.price
+    if not axiom3:
+        violations.append(("axiom 3: bond price differs from discount factor", float(bond_gap)))
+    return qc.AxiomReport(axiom1, axiom2, axiom3, tuple(violations))
+
+
+def _audit_inputs(seed):
+    # Dimension 1-16; 0-12 claims in commuting families on shared bases (the standard
+    # basis and q's eigenbasis among them), with repeated and zero-payout claims; null
+    # spaces on neither side, the physical side, the pricing side or both.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 17))
+    rank = max(1, n - int(rng.integers(1, 3)))
+    sides = seed % 4
+    state = random_density(rng, n, rank=rank if sides & 1 else None)
+    q = random_density(rng, n, rank=rank if sides & 2 else None)
+    kernel = qc.PricingKernel(rng.uniform(0.2, 1.0), q)
+    claims = []
+    count = int(rng.integers(0, 13))
+    # q's eigenbasis puts outcomes on its null space: Born weights round to either side of 0.
+    bases = (qc.standard_basis(n), qc.MeasurementBasis(np.linalg.eigh(q.entries)[1].T))
+    while len(claims) < count:
+        draw = rng.random()
+        basis = bases[int(draw < 0.25)] if draw < 0.5 else random_basis(rng, n)
+        for _ in range(int(rng.integers(1, 5))):
+            draw = rng.random()
+            if claims and draw < 0.15:
+                claims.append(claims[int(rng.integers(len(claims)))])
+            elif draw < 0.3:
+                claims.append(qc.FinancialClaim(basis, np.zeros(n)))
+            else:  # some with zero payout on a few outcomes: near-zero combined payouts
+                payouts = rng.uniform(0.0, 2.0, size=n) * (draw < 0.6 or rng.random(n) < 0.6)
+                claims.append(qc.FinancialClaim(basis, payouts))
+    return kernel, state, claims[:count]
+
+
+# (scale, psd_only): every tolerance scaled, or all but the reconstruction gate.
+TOLERANCE_SCALES = [(s, False) for s in (1.0, 1e-6, 3e-7, 1e-7, 1e-8, 1e-10)]
+TOLERANCE_SCALES += [(s, True) for s in (1e-7, 1e-8, 1e-9)]
+
+
+def _outcome(audit, *args):
+    try:
+        return audit(*args)
+    except qc.QClaimError as exc:
+        return type(exc), str(exc)
+
+
+def test_check_axioms_matches_the_per_pair_reference():
+    # Exact equality, violation floats included; with tolerances small enough for gates
+    # to fire, the same first error.  Every stage's error and every axiom's violation shows up.
+    seen = set()
+    for seed in range(60):
+        kernel, state, claims = _audit_inputs(seed)
+        for scale, psd_only in TOLERANCE_SCALES:
+            tol = DEFAULT_TOLERANCES.scaled(scale)
+            if psd_only:  # reconstruction passes, so negative payouts and Born ranges race
+                tol = dataclasses.replace(tol, reconstruction=DEFAULT_TOLERANCES.reconstruction)
+            want = _outcome(_reference_check_axioms, kernel, state, claims, tol)
+            got = _outcome(lambda *args: qc.check_axioms(*args, tol=tol), kernel, state, claims)
+            assert got == want, (seed, scale)
+            if isinstance(want, tuple):
+                seen.add(" ".join(want[1].split()[:2]))
+            else:
+                seen.update(label.split(":")[0] for label, _ in want.violations)
+    errors = {"eigendecomposition reconstruction", "combination produced", "Born probability"}
+    assert seen >= {"axiom 1", "axiom 2", "axiom 3"} | errors
+
+
+def test_claim_combine_matches_the_reference_combine():
+    rng = np.random.default_rng(70)
+    for _ in range(60):
+        n = int(rng.integers(1, 17))
+        basis = random_basis(rng, n)
+        first = qc.FinancialClaim(basis, rng.uniform(0.0, 2.0, size=n))
+        other = basis if rng.random() < 0.5 else random_basis(rng, n)
+        second = qc.FinancialClaim(other, rng.uniform(0.0, 2.0, size=n))
+        a, b = rng.uniform(0.0, 3.0, size=2)
+        got = qc.claim_combine(a, first, b, second)
+        x, y = first.as_operator().entries, second.as_operator().entries
+        want = _reference_combine(a, x, b, y, DEFAULT_TOLERANCES)
+        assert np.array_equal(got.payouts, want.payouts)
+        assert np.array_equal(got.basis.vectors, want.basis.vectors)
+
+
+@pytest.mark.parametrize(
+    "scale, first_error",
+    [(1.0, "eigendecomposition did not converge"), (1e-10, "eigendecomposition reconstruction error")],
+)
+def test_check_axioms_names_the_first_combination_that_does_not_converge(
+    monkeypatch, scale, first_error
+):
+    # eigh fails on any matrix of trace above 15, so only combinations with claim 2 fail.  The
+    # batch holding them is redone one combination at a time: the error is the one the per-pair
+    # reference raises first, even when an earlier pair fails another gate.
+    rng = np.random.default_rng(80)
+    basis = random_basis(rng, 4)
+    schedules = ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [5.0] * 4)
+    claims = [qc.FinancialClaim(basis, payouts) for payouts in schedules]
+    kernel, state = qc.PricingKernel(0.9, random_density(rng, 4)), random_density(rng, 4)
+    eigh = np.linalg.eigh
+
+    def failing_eigh(a):
+        if (np.trace(a, axis1=-2, axis2=-1).real > 15.0).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    tol = DEFAULT_TOLERANCES.scaled(scale)
+    want = _outcome(_reference_check_axioms, kernel, state, claims, tol)
+    assert want[0] is qc.NumericalError and want[1].startswith(first_error)
+    assert _outcome(lambda *args: qc.check_axioms(*args, tol=tol), kernel, state, claims) == want

@@ -83,10 +83,9 @@ def test_spectrum_is_read_only_and_sorted():
 
 def test_eigendecompose_rejects_an_overflowing_spectrum():
     # eigh returns eigenvalues [0, inf]; the reconstruction error is nan and must fail the gate.
+    # No errstate here: the suite turns RuntimeWarning into an error, and the named one must win.
     op = qc.HermitianOperator([[1e308, 1e308], [1e308, 1e308]])
-    with np.errstate(invalid="ignore"), pytest.raises(
-        qc.NumericalError, match="eigendecomposition reconstruction error nan"
-    ):
+    with pytest.raises(qc.NumericalError, match="eigendecomposition reconstruction error nan"):
         qc.eigendecompose(op)
 
 
