@@ -4,6 +4,10 @@ optimal investment, contextuality checks, and multi-subsystem portfolios.
 Only the error classes and tolerances load with the package.  Every other
 name, and each submodule, is imported on first access, so a program that
 needs only the integer Kochen-Specker path never loads numpy.
+
+``_EXPORTS`` below is the one list of those public names: each numeric
+module's ``__all__`` is its row of that table, so a name is added or
+removed in one place.
 """
 
 import sys as _sys
@@ -23,7 +27,8 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances, tolerances_from_env
 
 __version__ = "0.1.0"
 
-# Submodule -> the public names the package re-exports from it.
+# Submodule -> the public names the package re-exports from it; also that
+# submodule's ``__all__``.
 _EXPORTS = {
     "investment": (
         "DivergenceReport",

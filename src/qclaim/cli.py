@@ -367,9 +367,11 @@ def run(
     except OSError as exc:
         return _fail(EXIT_VALIDATION, "validation", f"cannot read scenario: {exc}")
     digest = hashlib.sha256(raw).hexdigest()
+    # ValueError covers UnicodeDecodeError, JSONDecodeError and overlong integers;
+    # the parser raises RecursionError on nesting deeper than the interpreter's stack.
     try:
         document = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError, JSONDecodeError and overlong integers
+    except (ValueError, RecursionError) as exc:
         return _fail(EXIT_VALIDATION, "validation", f"scenario is not valid JSON: {exc}")
     try:
         tol = tolerances_from_env()

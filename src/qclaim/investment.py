@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
@@ -25,19 +26,7 @@ from .pricing import PricingKernel
 from .quantum import DensityMatrix, MeasurementBasis, basis_marginals
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-__all__ = [
-    "UtilityFunction",
-    "OptimalInvestment",
-    "ReturnReport",
-    "DivergenceReport",
-    "optimal_payouts",
-    "solve_multiplier",
-    "expected_utility",
-    "verify_optimality",
-    "rate_of_return",
-    "excess_return_factor",
-    "kl_divergence",
-]
+__all__ = _EXPORTS["investment"]
 
 _MULTIPLIER_RANGE = (1e-300, 1e300)
 

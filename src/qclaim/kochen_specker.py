@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
+from . import _EXPORTS
 from .errors import DimensionMismatchError, ValidationError
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -37,20 +38,7 @@ if TYPE_CHECKING:
     from .pricing import PricingKernel
     from .quantum import DensityMatrix
 
-__all__ = [
-    "KSRay",
-    "KSBasis",
-    "KSSystem",
-    "ContractMenu",
-    "cabello_system",
-    "verify_structure",
-    "structure_diagnostics",
-    "search_colourings",
-    "parity_certificate",
-    "menu_probabilities",
-    "menu_prices",
-    "choose_contract",
-]
+__all__ = _EXPORTS["kochen_specker"]
 
 _SEARCH_RAY_LIMIT = 30
 # Bound on |component|: every dot product and squared norm is at most

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionMismatchError, NumericalError, ValidationError
 from .pricing import PricingKernel
 from .quantum import (
@@ -26,20 +27,7 @@ from .quantum import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-__all__ = [
-    "TwoPartyState",
-    "PortfolioObservable",
-    "CorrelationReport",
-    "product_state",
-    "separable_mixture",
-    "is_ppt",
-    "portfolio_observable",
-    "portfolio_expected_payout",
-    "portfolio_price",
-    "payout_covariance",
-    "nparty_portfolio_operator",
-    "nparty_expected_payout",
-]
+__all__ = _EXPORTS["portfolio"]
 
 
 class TwoPartyState:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     CalibrationError,
     DimensionMismatchError,
@@ -35,18 +36,7 @@ from .quantum import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-__all__ = [
-    "FinancialClaim",
-    "PricingKernel",
-    "AxiomReport",
-    "price",
-    "expected_payout",
-    "discount_bond",
-    "arrow_debreu",
-    "claim_combine",
-    "check_axioms",
-    "calibrate",
-]
+__all__ = _EXPORTS["pricing"]
 
 
 class FinancialClaim:

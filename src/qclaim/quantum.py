@@ -13,25 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionMismatchError, NumericalError, ValidationError
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-__all__ = [
-    "HermitianOperator",
-    "DensityMatrix",
-    "MeasurementBasis",
-    "Spectrum",
-    "standard_basis",
-    "from_spectrum",
-    "eigendecompose",
-    "born_probability",
-    "basis_marginals",
-    "absolutely_continuous",
-    "equivalent_states",
-    "tensor_product",
-    "partial_trace",
-    "subsystem_marginal",
-]
+__all__ = _EXPORTS["quantum"]
 
 
 def _complex_square(entries, what: str) -> np.ndarray:

@@ -35,17 +35,14 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "basis_from_json",
-    "basis_to_json",
     "hermitian_from_json",
     "density_from_json",
     "claim_from_json",
-    "claim_to_json",
     "kernel_from_json",
     "kernel_to_json",
     "quotes_from_json",
     "utility_from_json",
     "ks_system_from_json",
-    "ks_system_to_json",
     "render_json",
 ]
 
@@ -139,10 +136,6 @@ def basis_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES
     return MeasurementBasis(_complex_rows_from_json(obj, what), tol=tol)
 
 
-def basis_to_json(basis: MeasurementBasis) -> list:
-    return matrix_to_json(basis.vectors)
-
-
 def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> FinancialClaim:
     from .pricing import FinancialClaim
 
@@ -153,13 +146,6 @@ def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES
         raise ValidationError(f"{what}.payouts must be an array")
     values = [real_from_json(x, f"{what}.payouts[{j}]") for j, x in enumerate(payouts)]
     return FinancialClaim(basis, values)
-
-
-def claim_to_json(claim: FinancialClaim) -> dict:
-    return {
-        "basis": basis_to_json(claim.basis),
-        "payouts": [float(x) for x in claim.payouts],
-    }
 
 
 def kernel_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> PricingKernel:
@@ -239,15 +225,6 @@ def _int_row(row: list, what: str, field: str, index: int) -> tuple:
     if type(row[0]) is int and type(row[1]) is int and type(row[2]) is int and type(row[3]) is int:
         return tuple(row)
     return tuple(int_from_json(c, f"{what}.{field}[{index}][{k}]") for k, c in enumerate(row))
-
-
-def ks_system_to_json(system: KSSystem) -> dict:
-    # Rays are re-indexed by position so ids round-trip as array offsets.
-    order = {ray.ray_id: i for i, ray in enumerate(system.rays)}
-    return {
-        "rays": [list(ray.components) for ray in system.rays],
-        "bases": [[order[rid] for rid in basis.ray_ids] for basis in system.bases],
-    }
 
 
 # What ``json.dumps`` applies to a str under its default ``ensure_ascii``.

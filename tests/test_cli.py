@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -526,3 +527,116 @@ def test_whole_payload_is_decoded_before_computing(kind, tmp_path, capsys, monke
     record = single_error_record(capsys)
     assert record["type"] == "validation"
     assert f"payload.{key}" in record["message"]
+
+
+@pytest.mark.parametrize("where", ["document", "payload"])
+def test_deeply_nested_json_exits_2(where, tmp_path, capsys):
+    # The parser raises RecursionError, not ValueError, on nesting deeper than
+    # the interpreter's stack; it once escaped run and exited 1.
+    nest = "[" * 100_000 + "]" * 100_000
+    text = nest if where == "document" else '{"kind": "price", "payload": {"p": ' + nest + "}}"
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.run("price", str(path), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["type"] == "validation"
+    assert record["message"].startswith("scenario is not valid JSON")
+
+
+# -- the CLI contract under document fuzzing: every run exits 0, 2 or 3, a
+# failed run writes no report and one error record, and a re-run repeats it.
+
+EXTREMES = [1e308, -1e308, 5e-324, -5e-324, 2**63, 10**30, True, None, "x", [], {}]
+MUTANTS_PER_GOLDEN = 60
+
+
+def _paths(node, path=()):
+    """(path, node) for every value in a JSON document, outermost first."""
+    yield path, node
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def _mutants(kind: str, rng: random.Random):
+    """(label, scenario text) pairs: extreme leaves, dropped and unknown keys, deep nesting."""
+    golden = (GOLDEN / f"{kind}.scenario.json").read_text(encoding="utf-8")
+    nodes = list(_paths(json.loads(golden)))
+    leaves = [path for path, node in nodes if path and not (isinstance(node, (dict, list)) and node)]
+    objects = [path for path, node in nodes if isinstance(node, dict)]
+    for _ in range(MUTANTS_PER_GOLDEN):
+        document = json.loads(golden)
+        style = rng.choice(["extreme", "extreme", "drop", "unknown", "deep"])
+        if style == "extreme":
+            picked = rng.sample(leaves, rng.randint(1, min(3, len(leaves))))
+            changes = [(path, rng.choice(EXTREMES)) for path in picked]
+            for path, value in changes:
+                _at(document, path[:-1])[path[-1]] = value
+            label = f"extreme {changes}"
+        elif style == "drop":
+            path = rng.choice([path for path in objects if _at(document, path)])
+            key = rng.choice(sorted(_at(document, path)))
+            del _at(document, path)[key]
+            label = f"drop {path + (key,)}"
+        elif style == "unknown":
+            path = rng.choice(objects)
+            _at(document, path)["unexpected"] = 1
+            label = f"unknown key in {path}"
+        else:
+            path, depth = rng.choice(leaves), rng.choice([50, 500, 100_000])
+            _at(document, path[:-1])[path[-1]] = "NEST"
+            label = f"nesting {depth} deep at {path}"
+        text = json.dumps(document)
+        if style == "deep":
+            text = text.replace('"NEST"', "[" * depth + "]" * depth)
+        yield label, text
+    if kind == "portfolio":
+        for theta in ([1e308, 1e308], [1e308, -1e308], [-1e308, 1e308], [-1e308, -1e308]):
+            document = json.loads(golden)
+            document["payload"]["theta"] = theta
+            yield f"theta {theta}", json.dumps(document)
+
+
+def _outcome(kind, text, tmp_path, capsys):
+    """Exit code, report bytes (None if absent), stdout, stderr and any warning of one run."""
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run(kind, str(path), out_path=str(out))
+    captured = capsys.readouterr()
+    report = out.read_bytes() if out.exists() else None
+    return code, report, captured.out, captured.err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("kind", cli.SUBCOMMANDS)
+def test_cli_contract_under_fuzz(kind, tmp_path, capsys):
+    rng = random.Random(f"fuzz-{kind}")
+    for label, text in _mutants(kind, rng):
+        outcome = _outcome(kind, text, tmp_path, capsys)
+        code, report, out, err, caught = outcome
+        assert code in (0, 2, 3), label
+        assert out == "" and caught == [], label
+        if code == 0:
+            assert report is not None, label
+        else:
+            assert report is None, label
+            lines = err.splitlines()
+            assert len(lines) == 1, label
+            assert json.loads(lines[0])["error"]["exit_code"] == code, label
+        assert _outcome(kind, text, tmp_path, capsys) == outcome, label

@@ -8,16 +8,13 @@ import pytest
 import qclaim as qc
 from qclaim.serialization import (
     basis_from_json,
-    basis_to_json,
     claim_from_json,
-    claim_to_json,
     density_from_json,
     hermitian_from_json,
     int_from_json,
     kernel_from_json,
     kernel_to_json,
     ks_system_from_json,
-    ks_system_to_json,
     matrix_from_json,
     matrix_to_json,
     quotes_from_json,
@@ -74,16 +71,15 @@ def test_state_and_operator_decoding():
 
 def test_basis_and_claim_round_trip():
     s = 2.0**-0.5
-    basis = qc.MeasurementBasis([[s, 1j * s], [s, -1j * s]])
-    claim = qc.FinancialClaim(basis, [2.0, 0.5])
-    again = claim_from_json(claim_to_json(claim), "claim")
-    assert np.allclose(again.basis.vectors, basis.vectors)
-    assert np.array_equal(again.payouts, claim.payouts)
-    assert np.allclose(basis_from_json(basis_to_json(basis), "b").vectors, basis.vectors)
+    basis_obj = [[[s, 0.0], [0.0, s]], [[s, 0.0], [0.0, -s]]]
+    claim = claim_from_json({"basis": basis_obj, "payouts": [2.0, 0.5]}, "claim")
+    assert np.array_equal(claim.basis.vectors, qc.MeasurementBasis([[s, 1j * s], [s, -1j * s]]).vectors)
+    assert np.array_equal(claim.payouts, [2.0, 0.5])
+    assert np.array_equal(basis_from_json(basis_obj, "b").vectors, claim.basis.vectors)
     with pytest.raises(qc.ValidationError):
-        claim_from_json({"basis": basis_to_json(basis)}, "claim")
+        claim_from_json({"basis": basis_obj}, "claim")
     with pytest.raises(qc.ValidationError):
-        claim_from_json({"basis": basis_to_json(basis), "payouts": [1.0, 1.0], "x": 0}, "claim")
+        claim_from_json({"basis": basis_obj, "payouts": [1.0, 1.0], "x": 0}, "claim")
 
 
 def test_kernel_round_trip():
@@ -94,8 +90,7 @@ def test_kernel_round_trip():
 
 
 def test_quotes_decoding():
-    basis = qc.standard_basis(2)
-    claim_obj = claim_to_json(qc.arrow_debreu(basis, 0))
+    claim_obj = {"basis": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "payouts": [1.0, 0.0]}
     quotes = quotes_from_json(
         [{"claim": claim_obj, "price": 0.4}, {"claim": claim_obj, "price": 0.5, "id": "a"}],
         "quotes",
@@ -119,15 +114,28 @@ def test_utility_decoding():
         utility_from_json({"kind": "sqrt"}, "u")
 
 
+# Cabello's 18 rays and 9 tetrads, as ``cabello_system`` builds them.
+CABELLO_JSON = {
+    "rays": [
+        [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0], [0, 0, 1, 0], [1, 0, 0, 1],
+        [1, 0, 0, -1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1],
+        [0, 1, 0, -1], [0, 1, -1, 0], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 0, 0], [-1, 1, 1, 1],
+    ],
+    "bases": [
+        [0, 1, 2, 3], [4, 1, 5, 6], [7, 8, 9, 10], [7, 11, 3, 12], [8, 11, 6, 13],
+        [14, 15, 16, 10], [14, 17, 2, 12], [15, 17, 5, 13], [0, 4, 9, 16],
+    ],
+}
+
+
 def test_ks_system_round_trip():
     system = qc.cabello_system()
-    blob = ks_system_to_json(system)
-    assert blob["rays"][9] == [1, 1, 0, 0]
-    again = ks_system_from_json(blob, "system")
-    assert [r.components for r in again.rays] == [r.components for r in system.rays]
-    assert [b.ray_ids for b in again.bases] == [b.ray_ids for b in system.bases]
+    decoded = ks_system_from_json(CABELLO_JSON, "system")
+    assert decoded.rays[9].components == (1, 1, 0, 0)
+    assert [r.components for r in decoded.rays] == [r.components for r in system.rays]
+    assert [b.ray_ids for b in decoded.bases] == [b.ray_ids for b in system.bases]
     with pytest.raises(qc.ValidationError):
-        ks_system_from_json({"rays": blob["rays"]}, "system")
+        ks_system_from_json({"rays": CABELLO_JSON["rays"]}, "system")
     with pytest.raises(qc.ValidationError):
         ks_system_from_json({"rays": [[1, 0, 0, 0]], "bases": [[0, 0, 0, 0]]}, "system")
 
