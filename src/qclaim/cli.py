@@ -283,10 +283,7 @@ def _ks(*, system=None, seed: int, tol: Tolerances):
     }
     lines.append(f"structure sound: {'NO' if structure else 'yes'}")
     lines.append(f"assignments marking exactly one ray per tetrad: {colourings}")
-    lines.append(
-        "parity obstruction applies: "
-        + ("yes" if parity else "not applicable" if parity is None else "no")
-    )
+    lines.append(f"parity obstruction applies: {'yes' if parity else 'not applicable'}")
     verdict = (
         "no classical one-per-tetrad assignment exists"
         if colourings == 0
@@ -385,8 +382,6 @@ def run(
         if not 0 <= effective_seed <= _MAX_SEED:
             raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {effective_seed}")
         payload = scenario["payload"]
-        if not isinstance(payload, dict):
-            raise ValidationError("scenario payload must be a JSON object")
         spec = _COMMANDS[kind]
         required = [key for key in spec.keys if key not in spec.optional]
         require_keys(payload, "payload", required=required, optional=spec.optional)

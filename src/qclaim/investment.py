@@ -22,7 +22,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .pricing import PricingKernel
+from .pricing import FinancialClaim, PricingKernel
 from .quantum import DensityMatrix, MeasurementBasis, basis_marginals
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -228,10 +228,6 @@ def optimal_payouts(
     marginal utility; the multiplier is solved so the claim's price equals
     the budget exactly.
     """
-    if not (state.dim == kernel.dim == basis.dim):
-        raise DimensionMismatchError(
-            f"state, kernel and basis dimensions differ: {state.dim}, {kernel.dim}, {basis.dim}"
-        )
     p_m, q_m = _positive_marginals(state, kernel, basis, tol)
     ratios = q_m / p_m
     multiplier = solve_multiplier(list(zip(q_m, ratios)), budget, kernel.discount, utility)
@@ -366,15 +362,7 @@ def rate_of_return(
     ``verify_log_optimal`` the discounted gross return is cross-checked
     against the closed-form growth factor of the log-optimal schedule.
     """
-    if not (state.dim == kernel.dim == basis.dim):
-        raise DimensionMismatchError(
-            f"state, kernel and basis dimensions differ: {state.dim}, {kernel.dim}, {basis.dim}"
-        )
-    arr = np.asarray(payouts, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != basis.dim:
-        raise DimensionMismatchError(f"{arr.size} payouts for a dimension-{basis.dim} basis")
-    if not np.isfinite(arr).all() or (arr < 0).any():
-        raise ValidationError("payouts must be finite and nonnegative")
+    arr = FinancialClaim(basis, payouts).payouts
     t = float(horizon)
     if not math.isfinite(t) or t <= 0:
         raise ValidationError(f"horizon must be positive, got {horizon!r}")

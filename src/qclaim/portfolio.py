@@ -182,11 +182,6 @@ def portfolio_price(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Present value of the portfolio under a joint-space kernel, split-verified."""
-    n, m = observable.dims
-    if kernel.dim != n * m:
-        raise DimensionMismatchError(
-            f"kernel dimension {kernel.dim} does not match joint dimension {n * m}"
-        )
     legs = (observable.first, observable.second)
     return kernel.discount * nparty_expected_payout(kernel.q, legs, observable.weights, tol=tol)
 

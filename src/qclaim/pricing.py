@@ -108,22 +108,13 @@ class AxiomReport:
 
 def price(kernel: PricingKernel, claim: FinancialClaim, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Present value: discount * tr(q X).  Nonnegative for every claim."""
-    if kernel.dim != claim.dim:
-        raise DimensionMismatchError(
-            f"dimension-{kernel.dim} kernel against a dimension-{claim.dim} claim"
-        )
-    marginals = basis_marginals(kernel.q, claim.basis, tol=tol)
-    return kernel.discount * float(claim.payouts @ marginals)
+    return kernel.discount * expected_payout(kernel.q, claim, tol=tol)
 
 
 def expected_payout(
     state: DensityMatrix, claim: FinancialClaim, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Expectation tr(state X) of the claim's payout."""
-    if state.dim != claim.dim:
-        raise DimensionMismatchError(
-            f"dimension-{state.dim} state against a dimension-{claim.dim} claim"
-        )
     marginals = basis_marginals(state, claim.basis, tol=tol)
     return float(claim.payouts @ marginals)
 
@@ -181,7 +172,8 @@ _BLOCK_ENTRIES = 2**14
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a[k] @ b[k] for each row k, by the same dot routine as ``payouts @ marginals`` in ``price``.
+    # a[k] @ b[k] for each row k, by the same dot routine as ``payouts @ marginals`` in
+    # ``expected_payout``.
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 

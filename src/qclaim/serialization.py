@@ -68,7 +68,12 @@ def require_keys(obj: Any, what: str, required=(), optional=()) -> dict:
 def real_from_json(obj: Any, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{what} must be a number, got {obj!r}")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal of 309 or more digits
+        raise ValidationError(
+            f"{what} must be finite, got an integer beyond floating-point range"
+        ) from None
     if not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {obj!r}")
     return value
@@ -170,10 +175,7 @@ def quotes_from_json(
     for i, record in enumerate(obj):
         entry = require_keys(record, f"{what}[{i}]", required=("claim", "price"), optional=("id",))
         claim = claim_from_json(entry["claim"], f"{what}[{i}].claim", tol=tol)
-        value = real_from_json(entry["price"], f"{what}[{i}].price")
-        if value < 0:
-            raise ValidationError(f"{what}[{i}].price must be nonnegative, got {value!r}")
-        quotes.append((claim, value))
+        quotes.append((claim, real_from_json(entry["price"], f"{what}[{i}].price")))
     return quotes
 
 

@@ -3,17 +3,21 @@
 The first group rebuilds library-derived values through the public gates
 they no longer pass through, so a derivation that drifts out of them
 shows up here.  The second group counts validating constructions and pins
-that derived values skip the gates.  The last test keeps every ``tol=``
+that derived values skip the gates.  Then each input rule that a caller
+leaves to the one function owning it is shown to still reject, from the
+library and from the command line.  The last test keeps every ``tol=``
 keyword meaningful: a function accepts one only to read it.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qclaim as qc
+import qclaim.cli as cli
 from helpers import random_basis, random_density, random_hermitian, spanning_quotes
 from test_kochen_specker import peres_system
 
@@ -124,6 +128,89 @@ def test_calibration_gates_only_the_recovered_state(constructions):
     constructions.clear()
     qc.calibrate(3, 0.95, quotes)
     assert constructions == ["DensityMatrix"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _library_rejects(call):
+    def check(tmp_path, capsys):
+        with pytest.raises(qc.DimensionMismatchError):
+            call()
+
+    return check
+
+
+def _cli_rejects(kind, edit):
+    def check(tmp_path, capsys):
+        document = json.loads((GOLDEN / f"{kind}.scenario.json").read_text())
+        edit(document)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert cli.run(kind, str(path), out_path=str(out)) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line)["error"]["type"] == "validation"
+
+    return check
+
+
+def _mixed(n):
+    return qc.DensityMatrix(np.eye(n) / n)
+
+
+def _kernel(n):
+    return qc.PricingKernel(0.9, _mixed(n))
+
+
+def _two_by_two_portfolio():
+    leg = qc.HermitianOperator(np.diag([1.0, 2.0]))
+    return qc.portfolio_observable(leg, leg, (1.0, 1.0))
+
+
+def _negative_quote_price(document):
+    document["payload"]["quotes"][0]["price"] = -0.1
+
+
+def _payload_array(document):
+    document["payload"] = []
+
+
+B2, LOG = qc.standard_basis(2), qc.UtilityFunction.log()
+# Each rule is raised by the one function that owns it: basis_marginals (basis
+# against state), nparty_expected_payout (joint dimension), FinancialClaim (a
+# payout schedule), calibrate (quote prices) and require_keys (a JSON object).
+MOVED_RULES = {
+    "price": _library_rejects(lambda: qc.price(_kernel(3), qc.discount_bond(2))),
+    "expected_payout": _library_rejects(lambda: qc.expected_payout(_mixed(3), qc.discount_bond(2))),
+    "portfolio_price": _library_rejects(
+        lambda: qc.portfolio_price(_kernel(3), _two_by_two_portfolio())
+    ),
+    "optimal_payouts-state": _library_rejects(
+        lambda: qc.optimal_payouts(_mixed(3), _kernel(2), B2, 1.0, LOG)
+    ),
+    "optimal_payouts-kernel": _library_rejects(
+        lambda: qc.optimal_payouts(_mixed(2), _kernel(3), B2, 1.0, LOG)
+    ),
+    "rate_of_return-state": _library_rejects(
+        lambda: qc.rate_of_return(_mixed(3), _kernel(2), B2, [1.0, 1.0])
+    ),
+    "rate_of_return-kernel": _library_rejects(
+        lambda: qc.rate_of_return(_mixed(2), _kernel(3), B2, [1.0, 1.0])
+    ),
+    "rate_of_return-payouts": _library_rejects(
+        lambda: qc.rate_of_return(_mixed(2), _kernel(2), B2, [1.0, 1.0, 1.0])
+    ),
+    "cli-negative-quote-price": _cli_rejects("calibrate", _negative_quote_price),
+    "cli-payload-not-an-object": _cli_rejects("price", _payload_array),
+}
+
+
+@pytest.mark.parametrize("case", MOVED_RULES)
+def test_each_moved_rule_still_rejects(case, tmp_path, capsys):
+    MOVED_RULES[case](tmp_path, capsys)
 
 
 def test_every_tol_parameter_is_read():

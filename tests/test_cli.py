@@ -498,6 +498,73 @@ def test_overlong_integer_literal_exits_2(tmp_path, capsys):
     assert record["message"].startswith("scenario is not valid JSON")
 
 
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    # A 401-digit literal parses as a Python int, but float() of it raises
+    # OverflowError; it once escaped run and exited 1.
+    document = price_scenario()
+    document["payload"]["kernel"]["discount"] = 10**400
+    out = tmp_path / "report.json"
+    assert cli.run("price", write_scenario(tmp_path, document), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["type"] == "validation"
+    assert record["message"] == (
+        "payload.kernel.discount must be finite, got an integer beyond floating-point range"
+    )
+
+
+def _set(path, value):
+    """An edit of a golden scenario that sets the value at ``path`` under its payload."""
+
+    def edit(document):
+        node = document["payload"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("portfolio", _set(["dims"], [2]), "payload.dims must be a two-element array"),
+        ("menu", _set(["payouts"], 5), "payload.payouts must be an array of per-contract rows"),
+        ("price", _set(["p"], []), "payload.p must be a nonempty array of rows"),
+        ("price", _set(["p"], [[]]), "payload.p[0] must be a nonempty array"),
+        ("price", _set(["claim", "payouts"], 5), "payload.claim.payouts must be an array"),
+        (
+            "ks",
+            _set(["system"], {"rays": [], "bases": [[0, 1, 2, 3]]}),
+            "payload.system.rays must be a nonempty array",
+        ),
+        (
+            "ks",
+            _set(["system"], {"rays": [[1, 0, 0, 0]], "bases": []}),
+            "payload.system.bases must be a nonempty array",
+        ),
+    ],
+    ids=[
+        "dims-one-element",
+        "menu-payouts-scalar",
+        "p-empty",
+        "p-empty-row",
+        "claim-payouts-scalar",
+        "ks-no-rays",
+        "ks-no-bases",
+    ],
+)
+def test_decoder_shape_rejections(kind, edit, message, tmp_path, capsys):
+    document = json.loads((GOLDEN / f"{kind}.scenario.json").read_text())
+    edit(document)
+    out = tmp_path / "report.json"
+    assert cli.run(kind, write_scenario(tmp_path, document), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["exit_code"] == 2 and record["type"] == "validation"
+    assert record["message"] == message
+
+
 # The first library call of each subcommand's computation.
 ENTRY_POINTS = {
     "price": ("qclaim.pricing", "price"),
@@ -548,7 +615,9 @@ def test_deeply_nested_json_exits_2(where, tmp_path, capsys):
 # -- the CLI contract under document fuzzing: every run exits 0, 2 or 3, a
 # failed run writes no report and one error record, and a re-run repeats it.
 
-EXTREMES = [1e308, -1e308, 5e-324, -5e-324, 2**63, 10**30, True, None, "x", [], {}]
+EXTREMES = [
+    1e308, -1e308, 5e-324, -5e-324, 2**63, 10**30, 10**400, -(10**400), True, None, "x", [], {}
+]
 MUTANTS_PER_GOLDEN = 60
 
 
