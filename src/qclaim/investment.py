@@ -22,7 +22,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .pricing import FinancialClaim, PricingKernel
+from .pricing import FinancialClaim, PricingKernel, _payout_vector
 from .quantum import DensityMatrix, MeasurementBasis, basis_marginals
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -94,11 +94,7 @@ class OptimalInvestment:
         budget: float,
         realized_price: float,
     ):
-        arr = np.array(payouts, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] != basis.dim:
-            raise DimensionMismatchError(
-                f"{arr.size} payouts for a dimension-{basis.dim} basis"
-            )
+        arr = _payout_vector(payouts, basis)
         if not np.isfinite(arr).all() or (arr <= 0).any():
             raise ValidationError("optimal payouts must be strictly positive and finite")
         if not (math.isfinite(multiplier) and multiplier > 0):
@@ -253,9 +249,7 @@ def expected_utility(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Expectation of utility of the payout under the state's basis marginals."""
-    arr = np.asarray(payouts, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != basis.dim:
-        raise DimensionMismatchError(f"{arr.size} payouts for a dimension-{basis.dim} basis")
+    arr = _payout_vector(payouts, basis)
     if not np.isfinite(arr).all():
         raise ValidationError("payouts must be finite")
     if (arr <= 0).any():

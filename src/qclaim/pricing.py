@@ -39,17 +39,23 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __all__ = _EXPORTS["pricing"]
 
 
+def _payout_vector(payouts, basis: MeasurementBasis) -> np.ndarray:
+    """A fresh float copy of ``payouts``, one entry per outcome of ``basis``."""
+    arr = np.array(payouts, dtype=float)
+    if arr.ndim != 1:
+        raise DimensionMismatchError(f"payouts must be a one-dimensional array, got shape {arr.shape}")
+    if arr.shape[0] != basis.dim:
+        raise DimensionMismatchError(f"{arr.size} payouts for a dimension-{basis.dim} basis")
+    return arr
+
+
 class FinancialClaim:
     """Nonnegative payout schedule attached to a measurement basis."""
 
     __slots__ = ("basis", "payouts")
 
     def __init__(self, basis: MeasurementBasis, payouts):
-        arr = np.array(payouts, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] != basis.dim:
-            raise DimensionMismatchError(
-                f"{arr.size} payouts for a dimension-{basis.dim} basis"
-            )
+        arr = _payout_vector(payouts, basis)
         if not np.isfinite(arr).all():
             raise ValidationError("payouts must be finite")
         if (arr < 0).any():

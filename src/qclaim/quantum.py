@@ -21,14 +21,19 @@ __all__ = _EXPORTS["quantum"]
 
 
 def _complex_square(entries, what: str) -> np.ndarray:
+    # Finiteness is left to the caller's gate: a non-finite entry makes its deviation
+    # nan or inf, and the failure branch calls _require_finite before its own message.
     arr = np.array(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValidationError(f"{what} must have dimension at least 1")
+    return arr
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
-    return arr
 
 
 def _trusted(cls, arr: np.ndarray):
@@ -50,8 +55,10 @@ class HermitianOperator:
 
     def __init__(self, entries, *, tol: Tolerances = DEFAULT_TOLERANCES):
         arr = _complex_square(entries, type(self).__name__)
-        deviation = float(np.abs(arr - arr.conj().T).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail as nan or inf
+            deviation = float(np.abs(arr - arr.conj().T).max())
         if not deviation <= tol.hermiticity:
+            _require_finite(arr, type(self).__name__)
             raise ValidationError(
                 f"{type(self).__name__} is not Hermitian: max |A - A^dagger| = {deviation:.3e}"
             )
@@ -93,9 +100,12 @@ class MeasurementBasis:
 
     def __init__(self, vectors, *, tol: Tolerances = DEFAULT_TOLERANCES):
         arr = _complex_square(vectors, "measurement basis")
-        gram = arr.conj() @ arr.T
-        deviation = float(np.abs(gram - np.eye(arr.shape[0])).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail as nan or inf
+            gram = arr.conj() @ arr.T
+            gram.flat[:: arr.shape[0] + 1] -= 1.0
+            deviation = float(np.abs(gram).max())
         if not deviation <= tol.orthonormality:
+            _require_finite(arr, "measurement basis")
             raise ValidationError(
                 f"basis vectors are not orthonormal: max Gram deviation {deviation:.3e}"
             )

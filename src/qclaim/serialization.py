@@ -3,8 +3,11 @@
 Complex scalars travel as two-element [re, im] arrays, matrices as arrays
 of rows, bases as arrays of vectors.  Decoding is strict: wrong shapes,
 unknown keys and non-finite numbers are rejected with the offending path
-in the message.  Report rendering fixes every float at 17 significant
-digits so identical inputs reproduce identical bytes.
+in the message.  A matrix is converted once with numpy and its leaf types
+are scanned exactly; it is walked entry by entry only to name the
+offending path when that conversion cannot accept it.  Report rendering
+fixes every float at 17 significant digits so identical inputs
+reproduce identical bytes.
 
 The integer ray-system codec and the renderer run without numpy; the
 matrix, claim, kernel and utility codecs import it, and the classes they
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from .errors import ValidationError
@@ -92,6 +96,30 @@ def _complex_from_json(obj: Any, what: str) -> complex:
 
 
 def _complex_rows_from_json(obj: Any, what: str) -> np.ndarray:
+    # One numpy conversion; anything it cannot prove well formed goes to the walk,
+    # which raises the path-naming error.  ``obj`` comes from json.loads, so a
+    # three-dimensional result means lists of lists; the exact type scan is needed
+    # because a float conversion also takes True, None (as NaN) and "1.5".
+    import numpy as np
+
+    if isinstance(obj, list) and obj:
+        try:
+            arr = np.array(obj, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            pass
+        else:
+            if (
+                arr.ndim == 3
+                and arr.shape[1] > 0
+                and arr.shape[2] == 2
+                and set(map(type, chain.from_iterable(chain.from_iterable(obj)))) <= {int, float}
+                and np.isfinite(arr).all()
+            ):
+                return arr.view(complex)[..., 0]  # keeps the sign of a zero real part
+    return _complex_rows_walk(obj, what)
+
+
+def _complex_rows_walk(obj: Any, what: str) -> np.ndarray:
     import numpy as np
 
     if not isinstance(obj, list) or not obj:

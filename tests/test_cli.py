@@ -12,6 +12,7 @@ import pytest
 
 import qclaim.cli as cli
 import qclaim.investment
+import qclaim.serialization
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -51,6 +52,18 @@ def test_golden_reports_are_byte_identical(kind, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # report went to the file, summary to stderr
     assert captured.err.strip()
+
+
+@pytest.mark.parametrize("kind", cli.SUBCOMMANDS)
+def test_golden_matrices_take_the_array_decoder(kind, tmp_path, capsys, monkeypatch):
+    # Every golden matrix decodes without the per-entry walk, which only names a bad entry.
+    def walk(obj, what):
+        raise AssertionError(f"{what} fell back to the per-entry walk")
+
+    monkeypatch.setattr(qclaim.serialization, "_complex_rows_walk", walk)
+    out = tmp_path / "report.json"
+    assert cli.run(kind, str(GOLDEN / f"{kind}.scenario.json"), out_path=str(out)) == 0
+    assert out.read_bytes() == (GOLDEN / f"{kind}.report.json").read_bytes()
 
 
 GOLDEN_SUMMARIES = {

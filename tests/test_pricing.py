@@ -26,6 +26,19 @@ def test_claim_validation():
         qc.FinancialClaim(basis, [np.inf, 1.0])
 
 
+def test_payout_shape_faults_name_the_shape_or_the_count():
+    basis = qc.standard_basis(2)
+    with pytest.raises(qc.DimensionMismatchError, match=r"^payouts must be a one-dimensional array, got shape \(1, 2\)$"):
+        qc.FinancialClaim(basis, [[1.0, 1.0]])
+    with pytest.raises(qc.DimensionMismatchError, match="^3 payouts for a dimension-2 basis$"):
+        qc.FinancialClaim(basis, [1.0, 1.0, 1.0])
+    state, kernel = diag_state(0.5, 0.5), qc.PricingKernel(0.9, diag_state(0.5, 0.5))
+    with pytest.raises(qc.DimensionMismatchError, match=r"got shape \(1, 2\)$"):
+        qc.rate_of_return(state, kernel, basis, [[1.0, 1.0]])
+    with pytest.raises(qc.DimensionMismatchError, match=r"got shape \(\)$"):
+        qc.expected_utility(state, basis, 1.0, qc.UtilityFunction.log())
+
+
 def test_claim_operator_is_diagonal_on_standard_basis():
     claim = qc.FinancialClaim(qc.standard_basis(3), [5.0, 0.0, 2.0])
     assert np.allclose(claim.as_operator().entries, np.diag([5.0, 0.0, 2.0]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,34 @@ def test_hermitian_rejects_bad_input():
         qc.HermitianOperator([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(qc.ValidationError):
         qc.HermitianOperator(np.zeros((0, 0)))
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "cls, entries, message",
+    [
+        (qc.HermitianOperator, [[INF, 0.0], [0.0, 1.0]], "HermitianOperator contains non-finite entries"),
+        (qc.HermitianOperator, [[1.0, complex(0, INF)], [0.0, 1.0]], "HermitianOperator contains non-finite"),
+        (qc.HermitianOperator, [[0.0, 1e308], [-1e308, 0.0]], "HermitianOperator is not Hermitian: max |A - A^dagger| = inf"),
+        (qc.DensityMatrix, [[NAN, 0.0], [0.0, 1.0]], "DensityMatrix contains non-finite entries"),
+        (qc.DensityMatrix, [[INF, INF], [INF, INF]], "DensityMatrix contains non-finite entries"),
+        (qc.MeasurementBasis, [[INF, 0.0], [0.0, 1.0]], "measurement basis contains non-finite entries"),
+        (qc.MeasurementBasis, [[1.0, 0.0], [0.0, -INF]], "measurement basis contains non-finite entries"),
+        (qc.MeasurementBasis, [[NAN, 0.0], [0.0, 1.0]], "measurement basis contains non-finite entries"),
+        (qc.MeasurementBasis, [[1e308, 1e308], [0.0, 1.0]], "basis vectors are not orthonormal: max Gram deviation inf"),
+    ],
+    ids=[
+        "hermitian-inf", "hermitian-inf-imag", "hermitian-overflow", "density-nan", "density-all-inf",
+        "basis-inf", "basis-minus-inf", "basis-nan", "basis-overflow",
+    ],
+)
+def test_gates_reject_non_finite_and_overflowing_entries_without_warnings(cls, entries, message):
+    # The suite turns RuntimeWarning into an error, so a gate that warns on its way to the
+    # ValidationError fails here.
+    with pytest.raises(qc.ValidationError, match="^" + re.escape(message)):
+        cls(entries)
 
 
 def test_hermitian_tolerates_roundoff_asymmetry():

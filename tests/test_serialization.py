@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ from qclaim.serialization import (
     require_keys,
     utility_from_json,
 )
+from qclaim.cli import SUBCOMMANDS
+from qclaim.serialization import _complex_rows_from_json, _complex_rows_walk
+from test_cli import GOLDEN, _at, _mutants, _paths
 
 
 def test_require_keys_is_strict():
@@ -367,3 +371,110 @@ def test_ks_system_counts_are_bounded(field):
     document[field] = document[field] + document[field][:1]
     with pytest.raises(qc.ValidationError, match=f"^system.{field} holds 1025 "):
         ks_system_from_json(document, "system")
+
+
+# -- the array-speed matrix decoder against the per-entry walk it falls back to.
+
+
+def assert_decodes_like_the_walk(obj) -> str:
+    """Both matrix decoders give the same bytes, or the same ValidationError message."""
+    try:
+        expected = _complex_rows_walk(obj, "m")
+    except qc.ValidationError as exc:
+        with pytest.raises(qc.ValidationError) as caught:
+            _complex_rows_from_json(obj, "m")
+        assert str(caught.value) == str(exc)
+        return "rejected"
+    decoded = _complex_rows_from_json(obj, "m")
+    assert (decoded.dtype, decoded.shape) == (expected.dtype, expected.shape)
+    assert decoded.tobytes() == expected.tobytes()  # the sign of every zero included
+    return "decoded"
+
+
+def with_component(value, part=0):
+    """A 2x2 matrix whose off-diagonal entry [0][1] has ``value`` as component ``part``."""
+    matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    matrix[0][1][part] = value
+    return matrix
+
+
+def golden_matrices():
+    """(kind, path, node) for every value of a golden scenario that the walk decodes as a matrix."""
+    found = []
+    for kind in SUBCOMMANDS:
+        document = json.loads((GOLDEN / f"{kind}.scenario.json").read_text(encoding="utf-8"))
+        for path, node in _paths(document):
+            try:
+                _complex_rows_walk(node, "m")
+            except qc.ValidationError:
+                continue
+            found.append((kind, path, node))
+    return found
+
+
+GOLDEN_MATRICES = golden_matrices()
+
+
+MATRIX_CASES = {
+    "negative-zeros": [[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [-0.0, -0.0]]],
+    "2**53+1": with_component(2**53 + 1),
+    "-(2**53)-1": with_component(-(2**53) - 1, part=1),
+    "2**63": with_component(2**63),
+    "2**64+1": with_component(2**64 + 1),
+    "-(2**63)-1": with_component(-(2**63) - 1),
+    "10**30": with_component(10**30),
+    "largest-int-float": with_component(int(1.7976931348623157e308)),
+    "int-rounding-to-2**1024": with_component(2**1024 - 2**970),
+    "10**400": with_component(10**400),
+    "-(10**400)-imag": with_component(-(10**400), part=1),
+    "true": with_component(True),
+    "false-imag": with_component(False, part=1),
+    "null": with_component(None),
+    "string": with_component("1.5"),
+    "object": with_component({}),
+    "NaN": with_component(json.loads("NaN")),
+    "Infinity": with_component(json.loads("Infinity")),
+    "-Infinity-imag": with_component(json.loads("-Infinity"), part=1),
+    "ragged": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]],
+    "empty-row": [[[1.0, 0.0]], []],
+    "three-element-entry": [[[1.0, 0.0, 0.0]]],
+    "one-element-entry": [[[1.0]]],
+    "nested-4-deep": [[[[1.0, 0.0], [0.0, 0.0]]]],
+    "scalar-entry": [[1.0, 0.0]],
+    "row-not-array": [[[1.0, 0.0]], 2.0],
+    "empty": [],
+    "empty-inner": [[]],
+    "empty-entry": [[[]]],
+    "not-an-array": {"re": 1.0},
+    "non-square": [[[1.0, 0.0], [0.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("obj", MATRIX_CASES.values(), ids=MATRIX_CASES.keys())
+def test_matrix_decoding_matches_the_walk(obj):
+    assert_decodes_like_the_walk(obj)
+
+
+def test_golden_matrices_decode_like_the_walk():
+    assert len(GOLDEN_MATRICES) == 19
+    for _, _, node in GOLDEN_MATRICES:
+        assert assert_decodes_like_the_walk(node) == "decoded"
+
+
+@pytest.mark.parametrize("kind", sorted({kind for kind, _, _ in GOLDEN_MATRICES}))
+def test_fuzzed_golden_matrices_decode_like_the_walk(kind):
+    # The CLI fuzz mutants of each golden scenario, compared at every golden matrix path.
+    paths = [path for golden_kind, path, _ in GOLDEN_MATRICES if golden_kind == kind]
+    outcomes = set()
+    for _, text in _mutants(kind, random.Random(f"matrix-fuzz-{kind}")):
+        try:
+            document = json.loads(text)
+        except RecursionError:  # nesting deeper than the parser's stack
+            continue
+        for path in paths:
+            try:
+                node = _at(document, path)
+            except (KeyError, IndexError, TypeError):  # a key on the path was dropped
+                continue
+            outcomes.add(assert_decodes_like_the_walk(node))
+    assert outcomes == {"decoded", "rejected"}
