@@ -269,9 +269,11 @@ def _ks(*, system=None, seed: int, tol: Tolerances):
     rows, lines = [], ["ray  components        tetrads"]
     for ray in system.rays:
         bases = list(incidence[ray.ray_id])
-        rows.append({"ray": ray.ray_id, "components": list(ray.components), "bases": bases})
-        comps = ", ".join(f"{c:2d}" for c in ray.components)
-        lines.append(f"{ray.ray_id:3d}  ({comps})   {', '.join(str(b) for b in bases)}")
+        c = ray.components
+        rows.append({"ray": ray.ray_id, "components": list(c), "bases": bases})
+        lines.append(
+            f"{ray.ray_id:3d}  ({c[0]:2d}, {c[1]:2d}, {c[2]:2d}, {c[3]:2d})   {', '.join(map(str, bases))}"
+        )
     results = {
         "ray_count": len(system.rays),
         "basis_count": len(system.bases),

@@ -25,6 +25,7 @@ orthogonal tetrads, so each contract's outcome probabilities sum to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
@@ -124,8 +125,9 @@ def _four_ints(values) -> tuple[int, int, int, int] | None:
 class KSSystem:
     """Rays plus tetrads referencing them by id.
 
-    Construction checks only well-formedness (resolvable distinct ids,
-    rays pairwise distinct up to overall sign); whether the tetrads are
+    Construction checks only well-formedness: resolvable distinct ids, and
+    rays distinct as directions, so no ray is a nonzero multiple of another
+    (both would be one projector).  Whether the tetrads are
     genuinely orthogonal and complete is the job of verify_structure, so
     defective systems can be built and examined.  How many tetrads hold
     each ray is a precondition of parity_certificate, not of soundness.
@@ -140,10 +142,11 @@ class KSSystem:
             raise ValidationError("a system needs at least one ray and one tetrad")
         by_id: dict[int, KSRay] = {}
         hits: dict[int, list[int]] = {}
-        # One pass over the sign classes (first nonzero component positive).
-        # The clash reported is the one whose first ray comes earliest,
-        # paired with that class's second ray: the first pair i < j found
-        # by comparing every pair in order.
+        # One pass over the direction classes, each keyed by its primitive
+        # vector (components divided by their gcd, first nonzero one
+        # positive).  The clash reported is the one whose first ray comes
+        # earliest, paired with that class's second ray: the first pair
+        # i < j found by comparing every pair in order.
         first_of: dict[tuple[int, ...], int] = {}
         clash: tuple[int, int] | None = None
         for position, ray in enumerate(rays):
@@ -154,13 +157,19 @@ class KSSystem:
             by_id[ray.ray_id] = ray
             hits[ray.ray_id] = []
             c = ray.components
+            g = gcd(*c)
+            if g != 1:
+                c = (c[0] // g, c[1] // g, c[2] // g, c[3] // g)
             key = c if (c[0] or c[1] or c[2] or c[3]) > 0 else (-c[0], -c[1], -c[2], -c[3])
             first = first_of.setdefault(key, position)
             if first != position and (clash is None or first < clash[0]):
                 clash = (first, position)
         if clash is not None:
-            i, j = clash
-            raise ValidationError(f"rays {rays[i].ray_id} and {rays[j].ray_id} coincide up to sign")
+            a, b = rays[clash[0]], rays[clash[1]]
+            c = b.components
+            if a.components in (c, (-c[0], -c[1], -c[2], -c[3])):
+                raise ValidationError(f"rays {a.ray_id} and {b.ray_id} coincide up to sign")
+            raise ValidationError(f"rays {a.ray_id} and {b.ray_id} are parallel")
         for b, basis in enumerate(bases):
             if not isinstance(basis, KSBasis):
                 raise ValidationError(f"expected KSBasis, got {type(basis).__name__}")
@@ -204,13 +213,15 @@ def cabello_system() -> KSSystem:
 
 def _orthogonality_problems(system: KSSystem, b: int) -> list[str]:
     """One message per pair of rays in tetrad ``b`` whose exact dot product is nonzero."""
-    members = [system.ray(rid) for rid in system.bases[b].ray_ids]
+    ids = system.bases[b].ray_ids
+    comps = [system.ray(rid).components for rid in ids]
     problems = []
     for i, j in _PAIRS:
-        product = members[i].dot(members[j])
-        if product != 0:
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = comps[i], comps[j]
+        product = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+        if product:
             problems.append(
-                f"tetrad {b}: rays {members[i].ray_id} and {members[j].ray_id} "
+                f"tetrad {b}: rays {ids[i]} and {ids[j]} "
                 f"have dot product {product}"
             )
     return problems
@@ -260,6 +271,15 @@ def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:
     the search branches on the open tetrad with the fewest usable rays, and
     marking a ray closes every tetrad holding it and forbids their other
     rays.  Rays in no tetrad are free and double the count.
+
+    Each subproblem (open tetrads, usable rays) is solved once: its count
+    and smallest mask are cached, for this call only, and reused on every
+    other path that reaches it, so T disjoint tetrads cost about T^2
+    tetrad scans rather than 4^T.  The cache is exact because both values
+    depend on the subproblem alone.  The number of covers does not depend
+    on which column the search branches on, and a branch's ray bit is
+    disjoint from every mask below it, so the branch's smallest mask is
+    that bit OR the smallest mask below.
     """
     count_rays = len(system.rays)
     if count_rays > _SEARCH_RAY_LIMIT:
@@ -267,30 +287,52 @@ def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:
             f"exhaustive search supports at most {_SEARCH_RAY_LIMIT} rays, got {count_rays}"
         )
     position = {ray.ray_id: i for i, ray in enumerate(system.rays)}
-    tetrads = [sum(1 << position[rid] for rid in basis.ray_ids) for basis in system.bases]
+    tetrads = []
     closes = [0] * count_rays  # tetrads holding each ray, by tetrad index
     forbids = [0] * count_rays  # rays sharing a tetrad with each ray, itself included
     covered = 0
-    for t, mask in enumerate(tetrads):
+    for t, basis in enumerate(system.bases):
+        members = [position[rid] for rid in basis.ray_ids]
+        mask = sum(1 << i for i in members)
+        tetrads.append(mask)
         covered |= mask
-        for i in _bits(mask):
+        for i in members:
             closes[i] |= 1 << t
             forbids[i] |= mask
 
+    solved: dict[tuple[int, int], tuple[int, int]] = {}
+
     def cover(open_tetrads: int, usable: int) -> tuple[int, int]:
-        # Bits are disjoint across levels, so a branch's smallest mask is
-        # its ray bit plus the smallest mask below it.
         if not open_tetrads:
             return 1, 0
-        choices = min((tetrads[t] & usable for t in _bits(open_tetrads)), key=int.bit_count)
+        key = (open_tetrads, usable)
+        known = solved.get(key)
+        if known is not None:
+            return known
+        # Branch on the first open tetrad with the fewest usable rays, but
+        # stop at one with 0 or 1: it branches at most once.
+        choices, fewest, rest = 0, 5, open_tetrads
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            mask = tetrads[low.bit_length() - 1] & usable
+            size = mask.bit_count()
+            if size < fewest:
+                choices, fewest = mask, size
+                if size < 2:
+                    break
         count, smallest = 0, 0
-        for i in _bits(choices):
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            i = low.bit_length() - 1
             sub_count, sub_smallest = cover(open_tetrads & ~closes[i], usable & ~forbids[i])
             if sub_count:
-                candidate = (1 << i) | sub_smallest
+                candidate = low | sub_smallest
                 if not count or candidate < smallest:
                     smallest = candidate
                 count += sub_count
+        solved[key] = count, smallest
         return count, smallest
 
     count, smallest = cover((1 << len(tetrads)) - 1, covered)
@@ -298,14 +340,6 @@ def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:
         return 0, None
     free = count_rays - covered.bit_count()
     return count << free, [(smallest >> i) & 1 for i in range(count_rays)]
-
-
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def parity_certificate(system: KSSystem) -> bool:

@@ -250,6 +250,50 @@ def test_ks_rejects_system_beating_parity(tmp_path, capsys):
     assert results["structure_ok"] is True  # orthogonal; only the parity precondition fails
 
 
+def ks_table(rays, bases):
+    """The ``ks`` incidence table, row by row, in the format the CLI has always written."""
+    lines = ["ray  components        tetrads"]
+    for rid, comps in enumerate(rays):
+        hits = [b for b, ids in enumerate(bases) if rid in ids]
+        lines.append(
+            f"{rid:3d}  ({', '.join(f'{c:2d}' for c in comps)})   {', '.join(str(b) for b in hits)}"
+        )
+    return lines
+
+
+def relabelled_cabello(seed):
+    """The embedded system with rays shuffled and sign-flipped, its tetrads listed twice."""
+    rng = random.Random(seed)
+    system = qclaim.cabello_system()
+    order = list(range(len(system.rays)))
+    rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    signs = [rng.choice((-1, 1)) for _ in order]
+    rays = [[sign * c for c in system.rays[old].components] for sign, old in zip(signs, order)]
+    bases = [[position[rid] for rid in basis.ray_ids] for basis in system.bases] * 2
+    rng.shuffle(bases)
+    return rays, bases
+
+
+def test_ks_table_rows_match_the_written_format(tmp_path, capsys):
+    golden = qclaim.cabello_system()
+    golden_rays = [list(ray.components) for ray in golden.rays]
+    golden_bases = [list(basis.ray_ids) for basis in golden.bases]
+    assert cli.run("ks", str(GOLDEN / "ks.scenario.json"), out_path=str(tmp_path / "golden.json")) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[:-4] == ks_table(golden_rays, golden_bases)
+    assert lines[-4:] == KS_SUMMARY_TAIL
+
+    rays, bases = relabelled_cabello(7)
+    # Negative components, and tetrad ids up to 17 in every row.
+    assert any(c < 0 for comps in rays for c in comps) and len(bases) == 18
+    path = write_scenario(tmp_path, ks_scenario(rays, bases))
+    assert cli.run("ks", path, out_path=str(tmp_path / "relabelled.json")) == 0
+    lines = capsys.readouterr().err.splitlines()
+    table = ks_table(rays, bases)
+    assert lines[: len(table)] == table and len(lines) == len(table) + 4
+
+
 def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
     document = price_scenario()
     document["payload"]["p"][0][0][0] = 0.8005  # trace off by 5e-4
@@ -402,6 +446,18 @@ def test_oversized_ray_components_exit_2(kind, component, tmp_path, capsys):
     record = single_error_record(capsys)
     assert record["exit_code"] == 2 and record["type"] == "validation"
     assert record["message"] == "ray 0 has a component beyond the bound |c| <= 2**20"
+
+
+@pytest.mark.parametrize("kind", ["ks", "menu"])
+def test_parallel_rays_exit_2(kind, tmp_path, capsys):
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -2, 0]]
+    build = ks_scenario if kind == "ks" else menu_scenario
+    out = tmp_path / "report.json"
+    assert cli.run(kind, write_scenario(tmp_path, build(rays, [[0, 1, 2, 3]])), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["exit_code"] == 2 and record["type"] == "validation"
+    assert record["message"] == "rays 2 and 4 are parallel"
 
 
 @pytest.mark.parametrize("kind", ["ks", "menu"])

@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 import time
 
 import numpy as np
@@ -55,6 +57,28 @@ def test_system_well_formedness():
     clashing = [a, b, qc.KSRay(7, (0, 0, -1, 0)), qc.KSRay(8, (-1, -2, 0, 0))]
     with pytest.raises(qc.ValidationError, match="^rays 5 and 8 coincide up to sign$"):
         qc.KSSystem(clashing, [qc.KSBasis((5, 6, 7, 8))])
+
+
+def test_parallel_rays_are_one_direction():
+    # (1, 0, 0, 0) and (2, 0, 0, 0) are one projector: a search that kept
+    # both would count markings giving them different values.
+    rays = list(single_tetrad_system().rays)
+    basis = qc.KSBasis((0, 1, 2, 3))
+    for extra in [(2, 0, 0, 0), (-3, 0, 0, 0)]:
+        with pytest.raises(qc.ValidationError, match="^rays 0 and 4 are parallel$"):
+            qc.KSSystem(rays + [qc.KSRay(4, extra)], [basis])
+    # Scaled and negated rays share a direction class; the pair named is
+    # the first in ray order, with its own message.
+    scaled = [qc.KSRay(7, (2, -4, 0, 6)), qc.KSRay(8, (-1, 2, 0, -3)), qc.KSRay(9, (-2, 4, 0, -6))]
+    with pytest.raises(qc.ValidationError, match="^rays 7 and 8 are parallel$"):
+        qc.KSSystem(scaled, [basis])
+    with pytest.raises(qc.ValidationError, match="^rays 8 and 9 are parallel$"):
+        qc.KSSystem(scaled[1:], [basis])
+    with pytest.raises(qc.ValidationError, match="^rays 7 and 9 coincide up to sign$"):
+        qc.KSSystem([scaled[0], scaled[2]], [basis])
+    # A non-primitive ray alone is one direction like any other.
+    doubled = [qc.KSRay(0, (2, 0, 0, 0))] + rays[1:]
+    assert qc.search_colourings(qc.KSSystem(doubled, [basis])) == (4, [1, 0, 0, 0])
 
 
 def test_embedded_system_shape():
@@ -218,6 +242,64 @@ def test_search_matches_brute_force_on_random_systems():
     assert seen_free and seen_duplicate and seen_colourable and seen_uncolourable
 
 
+def wide_incidence_system(rng):
+    """17-20 rays and 8-12 tetrads drawn from 14-20 of them, so tetrads share rays."""
+    count_rays = int(rng.integers(17, 21))
+    ids = [3 * int(k) + 1 for k in rng.permutation(count_rays)]
+    rays = [qc.KSRay(rid, (1, rid, 0, 0)) for rid in ids]
+    used = ids[: int(rng.integers(14, count_rays + 1))]
+    bases = [
+        qc.KSBasis(tuple(used[int(k)] for k in rng.choice(len(used), size=4, replace=False)))
+        for _ in range(int(rng.integers(8, 13)))
+    ]
+    return qc.KSSystem(rays, bases)
+
+
+def test_search_matches_brute_force_on_wide_systems():
+    rng = np.random.default_rng(20261019)
+    seen_free = seen_shared = seen_colourable = seen_uncolourable = 0
+    for _ in range(24):
+        system = wide_incidence_system(rng)
+        expected = brute_force_colourings(system)
+        assert qc.search_colourings(system) == expected
+        incidence = system.incidence()
+        seen_free += any(not hits for hits in incidence.values())
+        seen_shared += any(len(hits) > 1 for hits in incidence.values())
+        seen_colourable += expected[0] > 0
+        seen_uncolourable += expected[0] == 0
+    assert min(seen_free, seen_shared, seen_colourable, seen_uncolourable) >= 3
+
+
+def disjoint_tetrads(count):
+    """``count`` tetrads on rays 4t..4t+3, each listed out of ray order."""
+    rays = [qc.KSRay(i, (1, i, 0, 0)) for i in range(4 * count)]
+    bases = [qc.KSBasis((4 * t + 3, 4 * t + 1, 4 * t, 4 * t + 2)) for t in range(count)]
+    return qc.KSSystem(rays, bases)
+
+
+@pytest.mark.parametrize("count", range(1, 8))
+def test_disjoint_tetrads_count_once_per_subproblem(count):
+    # Without a cache the search visits every one of the 4^T markings, a
+    # call per node: (4^(T+1) - 1) / 3 calls, 21845 at T = 7.  With each
+    # subproblem solved once, only the first path reaching a subproblem
+    # branches: the top call, then 4 per tetrad.
+    calls = 0
+
+    def tally(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "cover"
+
+    system = disjoint_tetrads(count)
+    previous = sys.getprofile()
+    sys.setprofile(tally)
+    try:
+        result = qc.search_colourings(system)
+    finally:
+        sys.setprofile(previous)
+    assert result == (4**count, [int(i % 4 == 0) for i in range(4 * count)])
+    assert calls == 1 + 4 * count
+
+
 def peres_system():
     """Peres's 24 rays and the 24 orthogonal tetrads among them."""
     comps = set()
@@ -346,7 +428,10 @@ def test_menu_prices_require_kernel():
 
 
 def reference_system_error(rays, bases):
-    """Message of the first well-formedness fault, comparing every ray pair in order."""
+    """Message of the first well-formedness fault, comparing every ray pair in order.
+
+    Two rays are parallel when every 2x2 minor of the pair vanishes.
+    """
     seen = set()
     for ray in rays:
         if ray.ray_id in seen:
@@ -357,11 +442,20 @@ def reference_system_error(rays, bases):
             a, b = rays[i].components, rays[j].components
             if a == b or a == tuple(-c for c in b):
                 return f"rays {rays[i].ray_id} and {rays[j].ray_id} coincide up to sign"
+            if all(a[k] * b[m] == a[m] * b[k] for k, m in itertools.combinations(range(4), 2)):
+                return f"rays {rays[i].ray_id} and {rays[j].ray_id} are parallel"
     for b, basis in enumerate(bases):
         for rid in basis.ray_ids:
             if rid not in seen:
                 return f"tetrad {b} references unknown ray id {rid}"
     return None
+
+
+def direction(components):
+    """The primitive vector of a ray: divided by the gcd, first nonzero component positive."""
+    g = math.gcd(*components)
+    c = tuple(x // g for x in components)
+    return max(c, tuple(-x for x in c))
 
 
 def reference_structure_diagnostics(system, tol=qc.DEFAULT_TOLERANCES):
@@ -422,7 +516,14 @@ def test_checks_match_the_pairwise_and_float_references():
     rng = np.random.default_rng(61)
     peres = peres_system()
     peres_tetrads = [[peres.ray(rid).components for rid in b.ray_ids] for b in peres.bases]
-    seen = {"clash": 0, "unknown": 0, "orthogonal": 0, "not orthogonal": 0, "several classes": 0}
+    seen = {
+        "clash": 0,
+        "parallel": 0,
+        "unknown": 0,
+        "orthogonal": 0,
+        "not orthogonal": 0,
+        "several classes": 0,
+    }
     for _ in range(2000):
         rays, bases = random_ray_system(rng, peres_tetrads)
         expected = reference_system_error(rays, bases)
@@ -430,8 +531,8 @@ def test_checks_match_the_pairwise_and_float_references():
             with pytest.raises(qc.ValidationError) as caught:
                 qc.KSSystem(rays, bases)
             assert str(caught.value) == expected
-            seen["clash" if "sign" in expected else "unknown"] += 1
-            keys = [max(r.components, tuple(-c for c in r.components)) for r in rays]
+            seen["clash" if "sign" in expected else "parallel" if "parallel" in expected else "unknown"] += 1
+            keys = [direction(r.components) for r in rays]
             seen["several classes"] += sum(keys.count(k) > 1 for k in set(keys)) > 1
             continue
         system = qc.KSSystem(rays, bases)
