@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .errors import (
-    DegenerateMarginalError,
-    DimensionMismatchError,
-    NumericalError,
-    SolverError,
-    ValidationError,
-)
+from .errors import DegenerateMarginalError, DimensionMismatchError, NumericalError, SolverError
+from .errors import ValidationError, finite_real, is_integer
 from .pricing import FinancialClaim, PricingKernel, _payout_vector
 from .quantum import DensityMatrix, MeasurementBasis, basis_marginals
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -49,11 +44,10 @@ class UtilityFunction:
             if self.exponent is not None:
                 raise ValidationError("log utility takes no exponent")
         elif self.kind == "power":
-            p = self.exponent
-            if p is None or not math.isfinite(p) or p >= 1.0 or p == 0.0:
-                raise ValidationError(
-                    f"power utility exponent must be finite, below 1 and nonzero, got {p!r}"
-                )
+            p = finite_real(self.exponent, "power utility exponent")
+            if p >= 1.0 or p == 0.0:
+                raise ValidationError(f"power utility exponent must be below 1 and nonzero, got {p!r}")
+            object.__setattr__(self, "exponent", p)
         else:
             raise ValidationError(f'utility kind must be "log" or "power", got {self.kind!r}')
 
@@ -63,7 +57,7 @@ class UtilityFunction:
 
     @classmethod
     def power(cls, exponent: float) -> "UtilityFunction":
-        return cls("power", float(exponent))
+        return cls("power", exponent)
 
     def value(self, payout):
         if self.kind == "log":
@@ -97,14 +91,14 @@ class OptimalInvestment:
         arr = _payout_vector(payouts, basis)
         if not np.isfinite(arr).all() or (arr <= 0).any():
             raise ValidationError("optimal payouts must be strictly positive and finite")
-        if not (math.isfinite(multiplier) and multiplier > 0):
-            raise ValidationError(f"budget multiplier must be positive, got {multiplier!r}")
+        self.multiplier = finite_real(multiplier, "budget multiplier")
+        if self.multiplier <= 0.0:
+            raise ValidationError(f"budget multiplier must be positive, got {self.multiplier!r}")
         arr.setflags(write=False)
         self.basis = basis
         self.payouts = arr
-        self.multiplier = float(multiplier)
-        self.budget = float(budget)
-        self.realized_price = float(realized_price)
+        self.budget = finite_real(budget, "budget")
+        self.realized_price = finite_real(realized_price, "realized price")
 
     def __repr__(self) -> str:
         return (
@@ -170,16 +164,17 @@ def solve_multiplier(
     ratios = np.array([p[1] for p in pairs], dtype=float)
     if (weights <= 0).any() or (ratios <= 0).any():
         raise ValidationError("pricing weights and slope ratios must be positive")
-    budget = float(budget)
-    if not math.isfinite(budget) or budget <= 0:
+    budget = finite_real(budget, "budget")
+    if budget <= 0.0:
         raise ValidationError(f"budget must be positive, got {budget!r}")
-    if not 0.0 < float(discount) <= 1.0:
+    discount = finite_real(discount, "discount factor")
+    if not 0.0 < discount <= 1.0:
         raise ValidationError(f"discount factor must lie in (0, 1], got {discount!r}")
 
     slope_power = 0.0 if utility.kind == "log" else utility.exponent
     log_sum = float(np.logaddexp.reduce(np.log(weights) + np.log(ratios) / (slope_power - 1.0)))
     log_multiplier = (slope_power - 1.0) * (
-        math.log(budget) - math.log(float(discount)) - log_sum
+        math.log(budget) - math.log(discount) - log_sum
     )
     lo, hi = _MULTIPLIER_RANGE
     if not math.log(lo) <= log_multiplier <= math.log(hi):
@@ -224,6 +219,7 @@ def optimal_payouts(
     marginal utility; the multiplier is solved so the claim's price equals
     the budget exactly.
     """
+    budget = finite_real(budget, "budget")
     p_m, q_m = _positive_marginals(state, kernel, basis, tol)
     ratios = q_m / p_m
     multiplier = solve_multiplier(list(zip(q_m, ratios)), budget, kernel.discount, utility)
@@ -234,7 +230,6 @@ def optimal_payouts(
         raise SolverError(
             f"multiplier {multiplier!r} gives payouts or a price beyond floating-point range"
         )
-    budget = float(budget)
     if not abs(realized - budget) <= tol.budget * max(1.0, budget):
         raise NumericalError(f"budget not saturated: realized price {realized!r} vs budget {budget!r}")
     return OptimalInvestment(basis, payouts, multiplier, budget, realized)
@@ -278,7 +273,7 @@ def verify_optimality(
     A candidate whose payouts, priced under ``kernel``, do not cost its
     budget raises ``ValidationError``.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not is_integer(trials) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -357,9 +352,9 @@ def rate_of_return(
     against the closed-form growth factor of the log-optimal schedule.
     """
     arr = FinancialClaim(basis, payouts).payouts
-    t = float(horizon)
-    if not math.isfinite(t) or t <= 0:
-        raise ValidationError(f"horizon must be positive, got {horizon!r}")
+    t = finite_real(horizon, "horizon")
+    if t <= 0.0:
+        raise ValidationError(f"horizon must be positive, got {t!r}")
     p_m = basis_marginals(state, basis, tol=tol)
     q_m = basis_marginals(kernel.q, basis, tol=tol)
     initial = kernel.discount * float(arr @ q_m)

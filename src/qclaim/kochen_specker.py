@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from . import _EXPORTS
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, is_integer
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:
@@ -72,7 +72,7 @@ class KSRay:
     components: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if not isinstance(self.ray_id, int) or self.ray_id < 0:
+        if not is_integer(self.ray_id) or self.ray_id < 0:
             raise ValidationError(f"ray id must be a nonnegative integer, got {self.ray_id!r}")
         comps = self.components
         ints = _four_ints(comps)
@@ -111,15 +111,13 @@ class KSBasis:
 
 
 def _four_ints(values) -> tuple[int, int, int, int] | None:
-    """``values`` as 4 plain ints, or None unless it holds 4 integers (bools excluded)."""
+    """``values`` as 4 plain ints, or None unless it holds 4 integers (``is_integer``)."""
     if len(values) != 4:
         return None
     a, b, c, d = values
     if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
         return (a, b, c, d)
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        return tuple(int(v) for v in values)
-    return None
+    return tuple(map(int, values)) if all(map(is_integer, values)) else None
 
 
 class KSSystem:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionMismatchError, NumericalError, ValidationError
+from .errors import DimensionMismatchError, NumericalError, ValidationError, finite_real, is_integer
 from .pricing import PricingKernel
 from .quantum import (
     DensityMatrix,
@@ -39,7 +38,7 @@ class TwoPartyState:
         if len(dims) != 2:
             raise ValidationError(f"subsystem dimensions must be a pair, got {dims!r}")
         n, m = dims
-        if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))) or n < 1 or m < 1:
+        if not (is_integer(n) and is_integer(m)) or n < 1 or m < 1:
             raise ValidationError(f"subsystem dimensions must be positive integers, got {dims!r}")
         n, m = int(n), int(m)
         if n * m != rho.dim:
@@ -66,10 +65,9 @@ class PortfolioObservable:
     weights: tuple[float, float]
 
     def __post_init__(self):
-        w = self.weights
-        if len(w) != 2 or not all(isinstance(x, Real) and math.isfinite(x) for x in w):
-            raise ValidationError(f"weights must be two finite reals, got {w!r}")
-        object.__setattr__(self, "weights", (float(w[0]), float(w[1])))
+        if len(self.weights) != 2:
+            raise ValidationError(f"weights must be two finite reals, got {self.weights!r}")
+        object.__setattr__(self, "weights", tuple(_real_weights(self.weights)))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -114,9 +112,9 @@ def separable_mixture(
     total = 0.0
     joint = np.zeros((dims[0] * dims[1], dims[0] * dims[1]), dtype=complex)
     for k, (weight, first, second) in enumerate(items):
-        w = float(weight)
-        if not math.isfinite(w) or w < 0.0:
-            raise ValidationError(f"component {k}: weight must be nonnegative, got {weight!r}")
+        w = finite_real(weight, f"component {k}: weight")
+        if w < 0.0:
+            raise ValidationError(f"component {k}: weight must be nonnegative, got {w!r}")
         if (first.dim, second.dim) != dims:
             raise DimensionMismatchError(
                 f"component {k}: factor dimensions {(first.dim, second.dim)} differ from {dims}"
@@ -219,16 +217,18 @@ def payout_covariance(
     return CorrelationReport(covariance, (mean_first, mean_second), under)
 
 
+def _real_weights(weights) -> list[float]:
+    return [finite_real(x, f"weights[{i}]") for i, x in enumerate(weights)]
+
+
 def nparty_portfolio_operator(
     operators: Sequence[HermitianOperator], weights: Sequence[float]
 ) -> HermitianOperator:
     """Sum of weighted one-per-subsystem positions on an N-fold joint space."""
     ops = list(operators)
-    w = [float(x) for x in weights]
+    w = _real_weights(weights)
     if not ops or len(ops) != len(w):
         raise ValidationError("need one weight per operator, at least one of each")
-    if not all(math.isfinite(x) for x in w):
-        raise ValidationError("weights must be finite")
     dims = [op.dim for op in ops]
     total_dim = math.prod(dims)
     joint = np.zeros((total_dim, total_dim), dtype=complex)
@@ -249,8 +249,9 @@ def nparty_expected_payout(
 ) -> float:
     """Expected N-leg portfolio payout, verified additive across marginals."""
     ops = list(operators)
+    w = _real_weights(weights)
     dims = [op.dim for op in ops]
-    joint_op = nparty_portfolio_operator(ops, weights)
+    joint_op = nparty_portfolio_operator(ops, w)
     if state.dim != joint_op.dim:
         raise DimensionMismatchError(
             f"state dimension {state.dim} does not match joint dimension {joint_op.dim}"
@@ -259,7 +260,7 @@ def nparty_expected_payout(
     split = 0.0
     for i, op in enumerate(ops):
         reduced = subsystem_marginal(state, dims, i)
-        split += float(weights[i]) * _real_trace_product(reduced.entries, op.entries)
+        split += w[i] * _real_trace_product(reduced.entries, op.entries)
     if not abs(joint - split) <= tol.additivity * max(1.0, abs(joint)):  # NaN fails too
         raise NumericalError(
             f"additivity violated numerically: joint {joint!r} vs marginal split {split!r}"

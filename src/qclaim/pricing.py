@@ -8,18 +8,13 @@ pricing state q; the price of a claim X is discount * tr(q X).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _EXPORTS
-from .errors import (
-    CalibrationError,
-    DimensionMismatchError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import CalibrationError, DimensionMismatchError, NumericalError, ValidationError
+from .errors import finite_real, is_integer
 from .quantum import (
     DensityMatrix,
     HermitianOperator,
@@ -84,10 +79,9 @@ class PricingKernel:
     __slots__ = ("discount", "q")
 
     def __init__(self, discount: float, q: DensityMatrix):
-        d = float(discount)
-        if not math.isfinite(d) or not 0.0 < d <= 1.0:
-            raise ValidationError(f"discount factor must lie in (0, 1], got {d!r}")
-        self.discount = d
+        self.discount = finite_real(discount, "discount factor")
+        if not 0.0 < self.discount <= 1.0:
+            raise ValidationError(f"discount factor must lie in (0, 1], got {self.discount!r}")
         self.q = q
 
     @property
@@ -133,7 +127,7 @@ def discount_bond(n: int) -> FinancialClaim:
 
 def arrow_debreu(basis: MeasurementBasis, outcome: int) -> FinancialClaim:
     """Claim paying 1 on a single outcome (0-based) of ``basis`` and 0 elsewhere."""
-    if not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < basis.dim:
+    if not is_integer(outcome) or not 0 <= outcome < basis.dim:
         raise ValidationError(
             f"outcome index {outcome!r} out of range for dimension {basis.dim}"
         )
@@ -156,9 +150,8 @@ def claim_combine(
     When the operators commute the payout multiset is {a u_j + b v_j}
     over the common eigenbasis.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0:
+    a, b = finite_real(a, "combination weight a"), finite_real(b, "combination weight b")
+    if a < 0.0 or b < 0.0:
         raise ValidationError(f"combination weights must be nonnegative, got ({a!r}, {b!r})")
     if first.dim != second.dim:
         raise DimensionMismatchError(
@@ -358,11 +351,11 @@ def calibrate(
     negative eigenvalue is reported as an arbitrage inconsistency, never
     repaired.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
     n = int(n)
-    d = float(bond_price)
-    if not math.isfinite(d) or not 0.0 < d <= 1.0:
+    d = finite_real(bond_price, "bond price")
+    if not 0.0 < d <= 1.0:
         raise ValidationError(f"bond price must lie in (0, 1], got {d!r}")
     claims = []
     rhs = []
@@ -371,8 +364,8 @@ def calibrate(
             raise DimensionMismatchError(
                 f"quote {idx}: claim dimension {claim.dim}, expected {n}"
             )
-        value = float(observed)
-        if not math.isfinite(value) or value < 0.0:
+        value = finite_real(observed, f"quote {idx}: price")
+        if value < 0.0:
             raise ValidationError(f"quote {idx}: price must be finite and nonnegative, got {value!r}")
         claims.append(claim)
         rhs.append(value / d)

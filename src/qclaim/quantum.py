@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionMismatchError, NumericalError, ValidationError
+from .errors import DimensionMismatchError, NumericalError, ValidationError, is_integer
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = _EXPORTS["quantum"]
@@ -130,7 +130,7 @@ class Spectrum:
 
 def standard_basis(n: int) -> MeasurementBasis:
     """Computational basis of dimension ``n``."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
     return _trusted(MeasurementBasis, np.eye(int(n), dtype=complex))
 
@@ -284,14 +284,14 @@ def subsystem_marginal(
     operator: HermitianOperator, dims: Sequence[int], index: int
 ) -> HermitianOperator:
     """Trace out all factors of a multipartite operator except ``dims[index]``."""
-    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+    if not all(is_integer(d) and d >= 1 for d in dims):
         raise ValidationError(f"factor dimensions must be positive integers, got {dims!r}")
     dims = [int(d) for d in dims]
     if math.prod(dims) != operator.dim:
         raise DimensionMismatchError(
             f"factor dimensions {dims} do not compose to operator dimension {operator.dim}"
         )
-    if not 0 <= index < len(dims):
+    if not is_integer(index) or not 0 <= index < len(dims):
         raise ValidationError(f"subsystem index {index} out of range for {len(dims)} factors")
     # Row index = (before, kept, after); sum the diagonals of "before" and "after".
     before = math.prod(dims[:index])

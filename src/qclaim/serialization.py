@@ -21,7 +21,8 @@ import math
 from itertools import chain
 from typing import TYPE_CHECKING, Any
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
+from .errors import finite_real as real_from_json  # the library's own rule, not a copy
 from .kochen_specker import KSBasis, KSRay, KSSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -69,22 +70,8 @@ def require_keys(obj: Any, what: str, required=(), optional=()) -> dict:
     return obj
 
 
-def real_from_json(obj: Any, what: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {obj!r}")
-    try:
-        value = float(obj)
-    except OverflowError:  # an integer literal of 309 or more digits
-        raise ValidationError(
-            f"{what} must be finite, got an integer beyond floating-point range"
-        ) from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {obj!r}")
-    return value
-
-
 def int_from_json(obj: Any, what: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
+    if not is_integer(obj):
         raise ValidationError(f"{what} must be an integer, got {obj!r}")
     return obj
 
@@ -261,16 +248,12 @@ def _int_row(row: list, what: str, field: str, index: int) -> tuple:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValidationError(f"reports may not contain non-finite numbers, got {value!r}")
-    return format(value, ".17g")
-
-
 def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
     kind = type(value)
     if kind is float:
-        pieces.append(_format_float(value))
+        if not math.isfinite(value):
+            raise ValidationError(f"reports may not contain non-finite numbers, got {value!r}")
+        pieces.append(format(value, ".17g"))
     elif kind is int:
         pieces.append(str(value))
     elif kind is str:
@@ -310,10 +293,10 @@ def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
         if pretty:
             pieces.append("\n" + "  " * indent)
         pieces.append(closing)
-    # Subclasses of the builtin types (bool has none), then numpy scalars
-    # and arrays, are converted to the builtin they stand for and rendered
-    # as above.  Only a value of some other type reaches the numpy import.
-    elif isinstance(value, int):
+    # Integers of any type, subclasses of the builtin types (bool has none),
+    # then numpy's other scalars and arrays, are converted to the builtin
+    # they stand for and rendered as above.
+    elif is_integer(value):
         _render(int(value), pieces, indent, pretty)
     elif isinstance(value, float):
         _render(float(value), pieces, indent, pretty)
@@ -328,8 +311,6 @@ def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
 
         if isinstance(value, np.bool_):
             _render(bool(value), pieces, indent, pretty)
-        elif isinstance(value, np.integer):
-            _render(int(value), pieces, indent, pretty)
         elif isinstance(value, np.floating):
             _render(float(value), pieces, indent, pretty)
         elif isinstance(value, np.ndarray):

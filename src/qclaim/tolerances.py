@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_real
 
 TOL_SCALE_ENV = "QCLAIM_TOL_SCALE"
 
@@ -37,9 +36,9 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every threshold multiplied by ``factor``."""
-        factor = float(factor)
-        if not math.isfinite(factor) or factor <= 0.0:
-            raise ValidationError(f"tolerance scale must be a positive finite number, got {factor!r}")
+        factor = finite_real(factor, "tolerance scale")
+        if factor <= 0.0:
+            raise ValidationError(f"tolerance scale must be positive, got {factor!r}")
         return Tolerances(
             **{f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}
         )

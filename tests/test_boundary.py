@@ -5,12 +5,17 @@ they no longer pass through, so a derivation that drifts out of them
 shows up here.  The second group counts validating constructions and pins
 that derived values skip the gates.  Then each input rule that a caller
 leaves to the one function owning it is shown to still reject, from the
-library and from the command line.  The last test keeps every ``tol=``
-keyword meaningful: a function accepts one only to read it.
+library and from the command line, and every real or integer scalar
+argument is shown to go through the one rule in ``qclaim.errors``.  The
+last tests keep every ``tol=`` keyword meaningful, since a function accepts
+one only to read it, and keep that scalar rule the only copy.
 """
 
 import ast
 import json
+import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,7 @@ import pytest
 
 import qclaim as qc
 import qclaim.cli as cli
-from helpers import random_basis, random_density, random_hermitian, spanning_quotes
+from helpers import bell_state, random_basis, random_density, random_hermitian, spanning_quotes
 from test_kochen_specker import peres_system
 
 TOL = qc.DEFAULT_TOLERANCES
@@ -213,6 +218,107 @@ def test_each_moved_rule_still_rejects(case, tmp_path, capsys):
     MOVED_RULES[case](tmp_path, capsys)
 
 
+def _calibrated(price):
+    # q = diag(price, 1 - price): the Arrow-Debreu quote on outcome 0 carries the scalar, and
+    # the quotes on two rotated bases pin the off-diagonal entry to zero.
+    plus = qc.MeasurementBasis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    right = qc.MeasurementBasis(np.array([[1, 1j], [1, -1j]]) / np.sqrt(2))
+    quotes = [(qc.arrow_debreu(B2, 0), price)]
+    quotes += [(qc.arrow_debreu(basis, 0), 0.5) for basis in (plus, right)]
+    return qc.calibrate(2, 1.0, quotes).q.entries
+
+
+CLAIM = qc.FinancialClaim(B2, [1.0, 2.0])
+LEG = qc.HermitianOperator(np.diag([1.0, 2.0]))
+# Each real scalar argument the library checks, as a call that passes ``x`` in that place.
+SCALAR_GATES = {
+    "PricingKernel-discount": lambda x: qc.PricingKernel(x, _mixed(2)).discount,
+    "claim_combine-a": lambda x: qc.claim_combine(x, CLAIM, 1.0, CLAIM).payouts,
+    "claim_combine-b": lambda x: qc.claim_combine(1.0, CLAIM, x, CLAIM).payouts,
+    "calibrate-bond_price": lambda x: qc.calibrate(1, x, []).discount,
+    "calibrate-quote_price": _calibrated,
+    "UtilityFunction-exponent": lambda x: qc.UtilityFunction("power", x),
+    "UtilityFunction.power": lambda x: qc.UtilityFunction.power(x),
+    "OptimalInvestment-multiplier": lambda x: qc.OptimalInvestment(B2, [1.0, 1.0], x, 1.0, 1.0).multiplier,
+    "OptimalInvestment-budget": lambda x: qc.OptimalInvestment(B2, [1.0, 1.0], 1.0, x, 1.0).budget,
+    "OptimalInvestment-realized_price": (
+        lambda x: qc.OptimalInvestment(B2, [1.0, 1.0], 1.0, 1.0, x).realized_price
+    ),
+    "solve_multiplier-budget": lambda x: qc.solve_multiplier([(1.0, 1.0)], x, 1.0, LOG),
+    "solve_multiplier-discount": lambda x: qc.solve_multiplier([(1.0, 1.0)], 1.0, x, LOG),
+    "optimal_payouts-budget": lambda x: qc.optimal_payouts(_mixed(2), _kernel(2), B2, x, LOG).payouts,
+    "rate_of_return-horizon": lambda x: qc.rate_of_return(_mixed(2), _kernel(2), B2, [1.0, 2.0], x),
+    "PortfolioObservable-weights": lambda x: qc.portfolio_observable(LEG, LEG, (x, 1.0)).weights,
+    "separable_mixture-weight": (
+        lambda x: qc.separable_mixture([(x, _mixed(2), _mixed(2)), (0.5, _mixed(2), _mixed(2))]).rho.entries
+    ),
+    "nparty_portfolio_operator-weights": lambda x: qc.nparty_portfolio_operator([LEG], [x]).entries,
+    "nparty_expected_payout-weights": lambda x: qc.nparty_expected_payout(_mixed(2), [LEG], [x]),
+    "Tolerances.scaled": lambda x: qc.DEFAULT_TOLERANCES.scaled(x),
+}
+NOT_REALS = {
+    "bool": True,
+    "numpy-bool": np.True_,
+    "str": "0.5",
+    "Decimal": Decimal("0.5"),
+    "complex": 0.5 + 0j,
+    "0-d-array": np.array(0.5),
+    "beyond-float-range": 10**400,
+    "nan": math.nan,
+    "inf": math.inf,
+}
+REALS = {"float32": np.float32(0.5), "int64": np.int64(1), "Fraction": Fraction(1, 2)}
+
+
+def _outcome(gate, value):
+    # What a call returns, or the error it raises, in a form that tells a float from any other type.
+    try:
+        return repr(gate(value))
+    except qc.QClaimError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", NOT_REALS)
+@pytest.mark.parametrize("gate", SCALAR_GATES)
+def test_scalar_gates_reject_what_is_not_a_finite_real(gate, kind):
+    with pytest.raises(qc.ValidationError, match=r"must be (a number|finite), got"):
+        SCALAR_GATES[gate](NOT_REALS[kind])
+
+
+@pytest.mark.parametrize("kind", REALS)
+@pytest.mark.parametrize("gate", SCALAR_GATES)
+def test_scalar_gates_take_any_real_as_its_float(gate, kind):
+    value = REALS[kind]
+    assert _outcome(SCALAR_GATES[gate], value) == _outcome(SCALAR_GATES[gate], float(value))
+
+
+def test_the_wire_applies_the_library_rule():
+    assert qc.serialization.real_from_json is qc.errors.finite_real
+
+
+# Each integer argument the library checks, called with ``True`` in that place.
+INTEGER_GATES = {
+    "standard_basis": lambda x: qc.standard_basis(x),
+    "subsystem_marginal": lambda x: qc.subsystem_marginal(bell_state(), (x, 4), 0),
+    "subsystem_marginal-index": lambda x: qc.subsystem_marginal(bell_state(), (2, 2), x),
+    "calibrate-n": lambda x: qc.calibrate(x, 1.0, []),
+    "arrow_debreu": lambda x: qc.arrow_debreu(B2, x),
+    "verify_optimality-trials": lambda x: qc.verify_optimality(
+        qc.optimal_payouts(_mixed(2), _kernel(2), B2, 1.0, LOG), _mixed(2), _kernel(2), LOG, trials=x
+    ),
+    "TwoPartyState": lambda x: qc.TwoPartyState((x, 4), bell_state()),
+    "KSRay-ray_id": lambda x: qc.KSRay(x, (1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("gate", INTEGER_GATES)
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_integer_gates_reject_bools(gate, flag):
+    with pytest.raises(qc.ValidationError):
+        INTEGER_GATES[gate](flag)
+    INTEGER_GATES[gate](np.int64(1))
+
+
 def test_every_tol_parameter_is_read():
     # A function that takes ``tol`` must name it in its body: it reads a field
     # or hands ``tol`` on, and a callee that dropped the keyword would raise
@@ -229,3 +335,38 @@ def test_every_tol_parameter_is_read():
             if not any(isinstance(n, ast.Name) and n.id == "tol" for n in body):
                 unread.append(f"{path.name}:{node.lineno} {node.name}")
     assert unread == []
+
+
+def _applies_the_scalar_rule(call: ast.Call, params: set) -> bool:
+    # ``float(p)`` or ``math.isfinite(p)`` on a parameter ``p``.
+    func = call.func
+    named = (isinstance(func, ast.Name) and func.id in ("float", "isfinite")) or (
+        isinstance(func, ast.Attribute)
+        and func.attr == "isfinite"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "math"
+    )
+    return named and len(call.args) == 1 and isinstance(call.args[0], ast.Name) and call.args[0].id in params
+
+
+# The report renderer converts and checks the values it writes out: an output rule, with its
+# own message, not a copy of the rule for arguments.
+SCALAR_RULE_OWNERS = {"errors.py finite_real", "serialization.py _render"}
+
+
+def test_the_scalar_rule_has_one_owner():
+    # A function that converts or checks one of its own arguments as a real number copies
+    # ``finite_real``; it should call it.
+    copies = []
+    for path in sorted(Path(qc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if f"{path.name} {node.name}" in SCALAR_RULE_OWNERS:
+                continue
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            calls = (n for statement in node.body for n in ast.walk(statement) if isinstance(n, ast.Call))
+            if any(_applies_the_scalar_rule(call, params) for call in calls):
+                copies.append(f"{path.name}:{node.lineno} {node.name}")
+    assert copies == []

@@ -112,7 +112,8 @@ def test_portfolio_observable_validation():
 def test_portfolio_observable_needs_two_weights(weights):
     # One weight used to raise IndexError; a third was dropped without notice;
     # a non-numeric weight raised a bare ValueError or TypeError.
-    with pytest.raises(qc.ValidationError, match="two finite reals"):
+    message = "two finite reals" if len(weights) != 2 else r"weights\[0\] must be a number"
+    with pytest.raises(qc.ValidationError, match=message):
         qc.portfolio_observable(diag_op(1.0, 2.0), diag_op(1.0, 2.0), weights)
 
 
@@ -284,6 +285,15 @@ def test_nparty_payout_on_entangled_state():
     ghz = qc.DensityMatrix(np.outer(v, v))
     ops = [diag_op(1.0, -1.0)] * 3
     assert qc.nparty_expected_payout(ghz, ops, [1.0, 1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_nparty_payout_takes_weights_from_an_iterator():
+    # The weights are read once, so an iterator serves both the joint operator and the split.
+    rng = np.random.default_rng(31)
+    state = random_density(rng, 6)
+    ops = [random_hermitian(rng, 2), random_hermitian(rng, 3)]
+    want = qc.nparty_expected_payout(state, ops, [1.0, -0.5])
+    assert qc.nparty_expected_payout(state, ops, (w for w in [1.0, -0.5])) == want
 
 
 def test_nparty_validation():
