@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, bounded_int, numeric_array
 from .kochen_specker import (
     cabello_system,
     parity_certificate,
@@ -60,34 +60,25 @@ _MAX_VERIFY_TRIALS = 10_000
 # -- payload decoders beyond the shared codecs
 
 
-def _bounded_int(obj, what: str, high: int) -> int:
-    value = int_from_json(obj, what)
-    if not 1 <= value <= high:
-        raise ValidationError(f"{what} must lie in [1, {high}], got {value}")
-    return value
-
-
 def _pair(obj, what: str, decode) -> tuple:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ValidationError(f"{what} must be a two-element array")
     return decode(obj[0], f"{what}[0]"), decode(obj[1], f"{what}[1]")
 
 
-_dimension_from_json = partial(_bounded_int, high=_MAX_DIMENSION)
-_trials_from_json = partial(_bounded_int, high=_MAX_VERIFY_TRIALS)
+_dimension_from_json = partial(bounded_int, high=_MAX_DIMENSION)
+_trials_from_json = partial(bounded_int, high=_MAX_VERIFY_TRIALS)
 _int_pair_from_json = partial(_pair, decode=int_from_json)
 _real_pair_from_json = partial(_pair, decode=real_from_json)
 
 
-def _payout_rows_from_json(obj, what: str) -> list[list[float]]:
+def _payout_rows_from_json(obj, what: str):
     if not isinstance(obj, list):
         raise ValidationError(f"{what} must be an array of per-contract rows")
-    table = []
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != 4:
             raise ValidationError(f"{what}[{r}] must be an array of 4 payouts")
-        table.append([real_from_json(x, f"{what}[{r}][{j}]") for j, x in enumerate(row)])
-    return table
+    return numeric_array(obj, what, ndim=2)
 
 
 # Payload key -> name of its decoder, the same in every subcommand.  The name is

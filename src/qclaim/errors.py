@@ -1,11 +1,14 @@
-"""Exception hierarchy, and the one rule each for real and integer scalars.
+"""Exception hierarchy, and the one rule each for real scalars, integers, sizes and arrays.
 
 The split matters to the command line layer, which maps validation errors
-to exit code 2 and numerical errors to exit code 3.  ``finite_real`` and
-``is_integer`` serve the library and the JSON decoders alike, without numpy.
+to exit code 2 and numerical errors to exit code 3.  The rules serve the
+library and the JSON decoders alike; only ``numeric_array`` imports numpy.
 """
 
 import math
+import sys
+from contextlib import suppress
+from itertools import chain
 
 
 class QClaimError(Exception):
@@ -62,3 +65,50 @@ def is_integer(value) -> bool:
     from numbers import Integral
 
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+MAX_SIZE = math.isqrt(sys.maxsize // 16)  # the largest n x n complex matrix numpy can address
+
+
+def bounded_int(value, what: str, high: int = MAX_SIZE) -> int:
+    """``value`` as an int in [1, high], if it is an integer and not a bool."""
+    if not is_integer(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if not 1 <= value <= high:
+        raise ValidationError(f"{what} must lie in [1, {high}], got {value}")
+    return int(value)
+
+
+def numeric_array(values, what: str, *, ndim: int, dtype=float):
+    """``values`` as a fresh ``dtype`` array, float or complex, of numbers that are not bools.
+
+    A numeric ndarray, or a list of exactly typed leaves, converts in one copy; else a walk names
+    the first bad entry ``what[i][j]`` (``ndim`` lists deep).  Floats come back finite; complex unchecked.
+    """
+    import numpy as np
+
+    real, arr = dtype is float, None
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("iuf" if real else "iufc"):
+        arr = np.array(values, dtype=dtype)
+    elif isinstance(values, list):
+        with suppress(ValueError, TypeError, OverflowError):
+            converted, leaves = np.array(values, dtype=dtype), values
+            for _ in range(converted.ndim - 1):
+                leaves = chain.from_iterable(leaves)
+            # The conversion alone takes True, None (as NaN) and "1.5".
+            if set(map(type, leaves)) <= ({int, float} if real else {int, float, complex}):
+                arr = converted
+    if arr is not None and (not real or np.isfinite(arr).all()):
+        return arr
+    stack = [(values, what, 0)]
+    while stack:  # row-major
+        node, path, depth = stack.pop()
+        node = node.tolist() if isinstance(node, np.ndarray) else node
+        if isinstance(node, (list, tuple)) and depth < ndim:
+            stack.extend((node[i], f"{path}[{i}]", depth + 1) for i in reversed(range(len(node))))
+        elif real or not isinstance(node, (complex, np.complexfloating)):
+            finite_real(node, path)
+    try:
+        return np.array(values, dtype=dtype)
+    except ValueError:  # ragged
+        raise DimensionMismatchError(f"{what} must be a rectangular array") from None

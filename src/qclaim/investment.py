@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import DegenerateMarginalError, DimensionMismatchError, NumericalError, SolverError
-from .errors import ValidationError, finite_real, is_integer
+from .errors import ValidationError, bounded_int, finite_real, numeric_array
 from .pricing import FinancialClaim, PricingKernel, _payout_vector
 from .quantum import DensityMatrix, MeasurementBasis, basis_marginals
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -89,7 +89,7 @@ class OptimalInvestment:
         realized_price: float,
     ):
         arr = _payout_vector(payouts, basis)
-        if not np.isfinite(arr).all() or (arr <= 0).any():
+        if (arr <= 0).any():
             raise ValidationError("optimal payouts must be strictly positive and finite")
         self.multiplier = finite_real(multiplier, "budget multiplier")
         if self.multiplier <= 0.0:
@@ -128,10 +128,10 @@ class DivergenceReport:
 
 
 def _checked_distribution(values, name: str, tol: Tolerances) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = numeric_array(values, name, ndim=1)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty vector")
-    if not np.isfinite(arr).all() or (arr < 0).any():
+    if (arr < 0).any():
         raise ValidationError(f"{name} must be finite and nonnegative")
     total = float(arr.sum())
     if not abs(total - 1.0) <= tol.trace:
@@ -160,8 +160,8 @@ def solve_multiplier(
     pairs = list(coefficients)
     if not pairs:
         raise ValidationError("at least one outcome is required")
-    weights = np.array([p[0] for p in pairs], dtype=float)
-    ratios = np.array([p[1] for p in pairs], dtype=float)
+    weights = numeric_array([p[0] for p in pairs], "pricing weights", ndim=1)
+    ratios = numeric_array([p[1] for p in pairs], "slope ratios", ndim=1)
     if (weights <= 0).any() or (ratios <= 0).any():
         raise ValidationError("pricing weights and slope ratios must be positive")
     budget = finite_real(budget, "budget")
@@ -222,9 +222,9 @@ def optimal_payouts(
     budget = finite_real(budget, "budget")
     p_m, q_m = _positive_marginals(state, kernel, basis, tol)
     ratios = q_m / p_m
-    multiplier = solve_multiplier(list(zip(q_m, ratios)), budget, kernel.discount, utility)
+    multiplier = solve_multiplier(zip(q_m.tolist(), ratios.tolist()), budget, kernel.discount, utility)
     with np.errstate(over="ignore", divide="ignore"):
-        payouts = np.asarray(utility.inverse_marginal(multiplier * ratios), dtype=float)
+        payouts = utility.inverse_marginal(multiplier * ratios)
         realized = kernel.discount * float(payouts @ q_m)
     if not ((payouts > 0).all() and np.isfinite(payouts).all() and math.isfinite(realized)):
         raise SolverError(
@@ -245,8 +245,6 @@ def expected_utility(
 ) -> float:
     """Expectation of utility of the payout under the state's basis marginals."""
     arr = _payout_vector(payouts, basis)
-    if not np.isfinite(arr).all():
-        raise ValidationError("payouts must be finite")
     if (arr <= 0).any():
         j = int(np.argmin(arr))
         raise ValidationError(f"utility undefined at nonpositive payout {arr[j]:.6g} (outcome {j})")
@@ -273,8 +271,7 @@ def verify_optimality(
     A candidate whose payouts, priced under ``kernel``, do not cost its
     budget raises ``ValidationError``.
     """
-    if not is_integer(trials) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    trials = bounded_int(trials, "trials")  # trials x dimension floats stay within MAX_SIZE**2
     if rng is None:
         rng = np.random.default_rng(0)
     p_m, q_m = _positive_marginals(state, kernel, candidate.basis, tol)
@@ -284,7 +281,7 @@ def verify_optimality(
             f"budget not saturated: candidate costs {cost!r} against budget {candidate.budget!r}"
         )
     base = float(utility.value(candidate.payouts) @ p_m)
-    shares = rng.dirichlet(np.ones(candidate.basis.dim), size=int(trials))
+    shares = rng.dirichlet(np.ones(candidate.basis.dim), size=trials)
     with np.errstate(divide="ignore", over="ignore"):
         alternatives = candidate.budget * shares / (kernel.discount * q_m)
         scores = utility.value(alternatives) @ p_m

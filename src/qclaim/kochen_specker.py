@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from . import _EXPORTS
-from .errors import DimensionMismatchError, ValidationError, is_integer
+from .errors import DimensionMismatchError, ValidationError, is_integer, numeric_array
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:
@@ -379,20 +379,13 @@ class ContractMenu:
         state: DensityMatrix,
         kernel: PricingKernel | None = None,
     ):
-        import numpy as np
-
-        try:
-            table = np.array(payout_tables, dtype=float)
-        except ValueError as exc:
-            raise DimensionMismatchError(
-                f"payout table must be a rectangular array of reals: {exc}"
-            ) from None
+        table = numeric_array(payout_tables, "payout table", ndim=2)
         if table.ndim != 2 or table.shape != (len(system.bases), 4):
             raise DimensionMismatchError(
                 f"payout table shape {table.shape} does not match "
                 f"({len(system.bases)}, 4) contracts-by-outcomes"
             )
-        if not np.isfinite(table).all() or (table < 0).any():
+        if (table < 0).any():
             raise ValidationError("contract payouts must be finite and nonnegative")
         if state.dim != 4:
             raise DimensionMismatchError(f"menu state must have dimension 4, got {state.dim}")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionMismatchError, NumericalError, ValidationError, finite_real, is_integer
+from .errors import DimensionMismatchError, NumericalError, ValidationError, bounded_int, finite_real
 from .pricing import PricingKernel
 from .quantum import (
     DensityMatrix,
@@ -37,10 +37,7 @@ class TwoPartyState:
     def __init__(self, dims: tuple[int, int], rho: DensityMatrix):
         if len(dims) != 2:
             raise ValidationError(f"subsystem dimensions must be a pair, got {dims!r}")
-        n, m = dims
-        if not (is_integer(n) and is_integer(m)) or n < 1 or m < 1:
-            raise ValidationError(f"subsystem dimensions must be positive integers, got {dims!r}")
-        n, m = int(n), int(m)
+        n, m = (bounded_int(d, "subsystem dimension") for d in dims)
         if n * m != rho.dim:
             raise DimensionMismatchError(
                 f"subsystem dimensions {n}x{m} do not compose to state dimension {rho.dim}"

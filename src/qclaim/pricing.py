@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import CalibrationError, DimensionMismatchError, NumericalError, ValidationError
-from .errors import finite_real, is_integer
+from .errors import bounded_int, finite_real, is_integer, numeric_array
 from .quantum import (
     DensityMatrix,
     HermitianOperator,
@@ -35,8 +35,8 @@ __all__ = _EXPORTS["pricing"]
 
 
 def _payout_vector(payouts, basis: MeasurementBasis) -> np.ndarray:
-    """A fresh float copy of ``payouts``, one entry per outcome of ``basis``."""
-    arr = np.array(payouts, dtype=float)
+    """A fresh finite float copy of ``payouts``, one entry per outcome of ``basis``."""
+    arr = numeric_array(payouts, "payouts", ndim=1)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"payouts must be a one-dimensional array, got shape {arr.shape}")
     if arr.shape[0] != basis.dim:
@@ -51,8 +51,6 @@ class FinancialClaim:
 
     def __init__(self, basis: MeasurementBasis, payouts):
         arr = _payout_vector(payouts, basis)
-        if not np.isfinite(arr).all():
-            raise ValidationError("payouts must be finite")
         if (arr < 0).any():
             j = int(np.argmin(arr))
             raise ValidationError(
@@ -351,9 +349,7 @@ def calibrate(
     negative eigenvalue is reported as an arbitrage inconsistency, never
     repaired.
     """
-    if not is_integer(n) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    n = int(n)
+    n = bounded_int(n, "dimension")
     d = finite_real(bond_price, "bond price")
     if not 0.0 < d <= 1.0:
         raise ValidationError(f"bond price must lie in (0, 1], got {d!r}")

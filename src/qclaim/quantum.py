@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionMismatchError, NumericalError, ValidationError, is_integer
+from .errors import DimensionMismatchError, NumericalError, ValidationError, bounded_int, is_integer
+from .errors import numeric_array
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = _EXPORTS["quantum"]
@@ -23,7 +24,7 @@ __all__ = _EXPORTS["quantum"]
 def _complex_square(entries, what: str) -> np.ndarray:
     # Finiteness is left to the caller's gate: a non-finite entry makes its deviation
     # nan or inf, and the failure branch calls _require_finite before its own message.
-    arr = np.array(entries, dtype=complex)
+    arr = numeric_array(entries, what, ndim=2, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -102,7 +103,7 @@ class MeasurementBasis:
         arr = _complex_square(vectors, "measurement basis")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail as nan or inf
             gram = arr.conj() @ arr.T
-            gram.flat[:: arr.shape[0] + 1] -= 1.0
+            gram.reshape(-1)[:: arr.shape[0] + 1] -= 1.0
             deviation = float(np.abs(gram).max())
         if not deviation <= tol.orthonormality:
             _require_finite(arr, "measurement basis")
@@ -130,18 +131,14 @@ class Spectrum:
 
 def standard_basis(n: int) -> MeasurementBasis:
     """Computational basis of dimension ``n``."""
-    if not is_integer(n) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    return _trusted(MeasurementBasis, np.eye(int(n), dtype=complex))
+    return _trusted(MeasurementBasis, np.eye(bounded_int(n, "dimension"), dtype=complex))
 
 
 def from_spectrum(eigenvalues, basis: MeasurementBasis) -> HermitianOperator:
     """Assemble sum_j eigenvalues[j] |v_j><v_j| over the given basis."""
-    vals = np.asarray(eigenvalues, dtype=float)
+    vals = numeric_array(eigenvalues, "eigenvalues", ndim=1)
     if vals.ndim != 1 or vals.shape[0] != basis.dim:
         raise DimensionMismatchError(f"{vals.size} eigenvalues for a dimension-{basis.dim} basis")
-    if not np.isfinite(vals).all():
-        raise ValidationError("eigenvalues must be finite")
     return _assemble(vals, basis.vectors)
 
 
@@ -215,15 +212,14 @@ def born_probability(
     state: DensityMatrix, vector, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Probability <v|state|v> of the outcome along a unit vector ``v``."""
-    v = np.asarray(vector, dtype=complex)
+    v = numeric_array(vector, "outcome vector", ndim=1, dtype=complex)
     if v.ndim != 1 or v.shape[0] != state.dim:
         raise DimensionMismatchError(
             f"vector of length {v.size} against a dimension-{state.dim} state"
         )
-    if not np.isfinite(v).all():
-        raise ValidationError("outcome vector contains non-finite entries")
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= tol.orthonormality:
+        _require_finite(v, "outcome vector")
         raise ValidationError(f"outcome vector is not normalized: |v| = {norm:.12g}")
     return float(_probabilities(_quadratic_forms(state.entries, v[None, :]), tol)[0])
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from contextlib import suppress
 from typing import TYPE_CHECKING, Any
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, is_integer, numeric_array
 from .errors import finite_real as real_from_json  # the library's own rule, not a copy
 from .kochen_specker import KSBasis, KSRay, KSSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -83,32 +83,15 @@ def _complex_from_json(obj: Any, what: str) -> complex:
 
 
 def _complex_rows_from_json(obj: Any, what: str) -> np.ndarray:
-    # One numpy conversion; anything it cannot prove well formed goes to the walk,
-    # which raises the path-naming error.  ``obj`` comes from json.loads, so a
-    # three-dimensional result means lists of lists; the exact type scan is needed
-    # because a float conversion also takes True, None (as NaN) and "1.5".
-    import numpy as np
-
-    if isinstance(obj, list) and obj:
-        try:
-            arr = np.array(obj, dtype=float)
-        except (ValueError, TypeError, OverflowError):
-            pass
-        else:
-            if (
-                arr.ndim == 3
-                and arr.shape[1] > 0
-                and arr.shape[2] == 2
-                and set(map(type, chain.from_iterable(chain.from_iterable(obj)))) <= {int, float}
-                and np.isfinite(arr).all()
-            ):
-                return arr.view(complex)[..., 0]  # keeps the sign of a zero real part
+    # Whatever the array rule rejects, or any shape but (rows, columns, 2), goes to the walk.
+    with suppress(ValidationError):
+        arr = numeric_array(obj, what, ndim=3)
+        if arr.ndim == 3 and arr.shape[2] == 2:  # so rows and columns are nonempty
+            return arr.view(complex)[..., 0]  # keeps the sign of a zero real part
     return _complex_rows_walk(obj, what)
 
 
 def _complex_rows_walk(obj: Any, what: str) -> np.ndarray:
-    import numpy as np
-
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{what} must be a nonempty array of rows")
     width = None
@@ -121,7 +104,7 @@ def _complex_rows_walk(obj: Any, what: str) -> np.ndarray:
         elif len(row) != width:
             raise ValidationError(f"{what}[{i}] has length {len(row)}, expected {width}")
         rows.append([_complex_from_json(entry, f"{what}[{i}][{j}]") for j, entry in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    return numeric_array(rows, what, ndim=2, dtype=complex)
 
 
 def matrix_from_json(obj: Any, what: str) -> np.ndarray:
@@ -132,10 +115,7 @@ def matrix_from_json(obj: Any, what: str) -> np.ndarray:
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
-    import numpy as np
-
-    arr = np.asarray(matrix, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
 def hermitian_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -164,8 +144,7 @@ def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES
     payouts = record["payouts"]
     if not isinstance(payouts, list):
         raise ValidationError(f"{what}.payouts must be an array")
-    values = [real_from_json(x, f"{what}.payouts[{j}]") for j, x in enumerate(payouts)]
-    return FinancialClaim(basis, values)
+    return FinancialClaim(basis, numeric_array(payouts, f"{what}.payouts", ndim=1))
 
 
 def kernel_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> PricingKernel:

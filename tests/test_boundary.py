@@ -6,14 +6,16 @@ shows up here.  The second group counts validating constructions and pins
 that derived values skip the gates.  Then each input rule that a caller
 leaves to the one function owning it is shown to still reject, from the
 library and from the command line, and every real or integer scalar
-argument is shown to go through the one rule in ``qclaim.errors``.  The
-last tests keep every ``tol=`` keyword meaningful, since a function accepts
-one only to read it, and keep that scalar rule the only copy.
+argument, size and numeric array is shown to go through the one rule in
+``qclaim.errors``.  The last tests keep every ``tol=`` keyword meaningful,
+since a function accepts one only to read it, and keep the scalar and array
+rules the only copies.
 """
 
 import ast
 import json
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -319,6 +321,117 @@ def test_integer_gates_reject_bools(gate, flag):
     INTEGER_GATES[gate](np.int64(1))
 
 
+@pytest.mark.parametrize("size", [2**63, 10**400], ids=["beyond-intp", "beyond-float-range"])
+@pytest.mark.parametrize("gate", ["standard_basis", "calibrate-n", "verify_optimality-trials"])
+def test_size_gates_reject_what_numpy_cannot_address(gate, size):
+    with pytest.raises(qc.ValidationError, match=r"must lie in \[1, \d+\], got \d+$"):
+        INTEGER_GATES[gate](size)
+
+
+# Each numeric array the library takes in, as (a call that passes ``x`` in that place, a valid
+# ``x`` as nested lists of ints).
+REAL_SITES = {
+    "FinancialClaim": (lambda x: qc.FinancialClaim(B2, x).payouts, [1, 2]),
+    "OptimalInvestment": (lambda x: qc.OptimalInvestment(B2, x, 1.0, 1.0, 1.0).payouts, [1, 2]),
+    "expected_utility": (lambda x: qc.expected_utility(_mixed(2), B2, x, LOG), [1, 2]),
+    "rate_of_return": (lambda x: qc.rate_of_return(_mixed(2), _kernel(2), B2, x).gross_return, [1, 2]),
+    "kl_divergence-p": (lambda x: qc.kl_divergence(x, [0.5, 0.5]).p_marginals, [1, 0]),
+    "kl_divergence-q": (lambda x: qc.kl_divergence([1.0, 0.0], x).q_marginals, [1, 0]),
+    "solve_multiplier-weights": (lambda x: qc.solve_multiplier(zip(x, [1.0, 1.0]), 1.0, 1.0, LOG), [1, 2]),
+    "solve_multiplier-ratios": (lambda x: qc.solve_multiplier(zip([1.0, 1.0], x), 1.0, 1.0, LOG), [1, 2]),
+    "ContractMenu": (
+        lambda x: qc.ContractMenu(qc.cabello_system(), x, _mixed(4)).payout_tables, [[1, 2, 3, 4]] * 9
+    ),
+    "from_spectrum": (lambda x: qc.from_spectrum(x, B2).entries, [1, 2]),
+}
+COMPLEX_SITES = {
+    "HermitianOperator": (lambda x: qc.HermitianOperator(x).entries, [[1, 0], [0, 2]]),
+    "DensityMatrix": (lambda x: qc.DensityMatrix(x).entries, [[1, 0], [0, 0]]),
+    "MeasurementBasis": (lambda x: qc.MeasurementBasis(x).vectors, [[0, 1], [1, 0]]),
+    "born_probability": (lambda x: qc.born_probability(_mixed(2), x), [1, 0]),
+}
+WIRE_BASIS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+# The JSON decoders, which see only what a document can carry.
+WIRE_SITES = {
+    "cli-menu-payouts": (lambda x: cli._payout_rows_from_json(x, "payload.payouts"), [[1, 2, 3, 4]] * 2),
+    "claim_from_json-payouts": (
+        lambda x: qc.serialization.claim_from_json({"basis": WIRE_BASIS, "payouts": x}, "claim").payouts,
+        [1, 2],
+    ),
+    "matrix_from_json": (lambda x: qc.serialization.matrix_from_json(x, "m"), WIRE_BASIS),
+}
+ARRAY_SITES = {**REAL_SITES, **COMPLEX_SITES, **WIRE_SITES}
+
+
+def _replaced(good, *values):
+    """``good`` with its first leaves, in row-major order, replaced by ``values``."""
+    leaves = iter(values)
+
+    def walk(node):
+        return [walk(x) for x in node] if isinstance(node, list) else next(leaves, node)
+
+    return walk(good)
+
+
+def _leaves_as(convert, good):
+    return [_leaves_as(convert, x) for x in good] if isinstance(good, list) else convert(good)
+
+
+# Each kind of array that is not all numbers, made from a valid one.
+NOT_NUMERIC = {
+    "str-and-bool": lambda good: _replaced(good, "0.5", True),
+    "bool-array": lambda good: np.array(good, dtype=bool),
+    "None": lambda good: _replaced(good, None),
+    "nested-list": lambda good: _replaced(good, [1, 2]),
+    "object-array": lambda good: np.array(_replaced(good, Decimal("0.5")), dtype=object),
+    "complex": lambda good: _replaced(good, 1 + 0j),
+    "nan": lambda good: _replaced(good, math.nan),
+    "inf": lambda good: np.array(_replaced(good, -math.inf)),
+}
+NUMERIC = {
+    "float-list": lambda good: _leaves_as(float, good),
+    "int-list": lambda good: good,
+    "float32-array": lambda good: np.array(good, dtype=np.float32),
+    "int64-array": lambda good: np.array(good, dtype=np.int64),
+    "Fraction-list": lambda good: _leaves_as(Fraction, good),
+}
+# A complex target takes complex entries, and leaves a non-finite one to its gate.
+REAL_TARGET_ONLY = {"complex", "nan", "inf"}
+NOT_JSON = {"bool-array", "object-array", "complex", "inf", "float32-array", "int64-array", "Fraction-list"}
+
+
+def _cases(kinds):
+    return [
+        (site, kind)
+        for site in ARRAY_SITES
+        for kind in kinds
+        if not (site in COMPLEX_SITES and kind in REAL_TARGET_ONLY)
+        and not (site in WIRE_SITES and kind in NOT_JSON)
+    ]
+
+
+@pytest.mark.parametrize("site, kind", _cases(NOT_NUMERIC))
+def test_array_sites_name_the_first_entry_that_is_not_a_number(site, kind):
+    call, good = ARRAY_SITES[site]
+    with pytest.raises(qc.ValidationError, match=r"\[0\](\[0\])* must be (a number|finite), got"):
+        call(NOT_NUMERIC[kind](good))
+
+
+@pytest.mark.parametrize("site, kind", _cases(NUMERIC))
+def test_array_sites_take_any_numbers_as_their_floats(site, kind):
+    call, good = ARRAY_SITES[site]
+    got, want = call(NUMERIC[kind](good)), call(_leaves_as(float, good))
+    assert type(got) is type(want) and np.array_equal(got, want)
+
+
+def test_a_nan_weight_is_named_without_a_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(qc.ValidationError, match=r"^pricing weights\[0\] must be finite, got nan$"):
+            qc.solve_multiplier([(math.nan, 1.0)], 1.0, 1.0, LOG)
+    assert caught == []
+
+
 def test_every_tol_parameter_is_read():
     # A function that takes ``tol`` must name it in its body: it reads a field
     # or hands ``tol`` on, and a callee that dropped the keyword would raise
@@ -349,24 +462,52 @@ def _applies_the_scalar_rule(call: ast.Call, params: set) -> bool:
     return named and len(call.args) == 1 and isinstance(call.args[0], ast.Name) and call.args[0].id in params
 
 
-# The report renderer converts and checks the values it writes out: an output rule, with its
-# own message, not a copy of the rule for arguments.
-SCALAR_RULE_OWNERS = {"errors.py finite_real", "serialization.py _render"}
+def _applies_the_array_rule(call: ast.Call, params: set) -> bool:
+    # ``np.array(p, dtype=...)`` or ``np.asarray(p, dtype=...)`` on a parameter ``p``.
+    func = call.func
+    named = (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("array", "asarray")
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "np"
+    )
+    typed = len(call.args) > 1 or any(k.arg == "dtype" for k in call.keywords)
+    return named and typed and isinstance(call.args[0], ast.Name) and call.args[0].id in params
 
 
-def test_the_scalar_rule_has_one_owner():
-    # A function that converts or checks one of its own arguments as a real number copies
-    # ``finite_real``; it should call it.
+def _copies_of_a_rule(applies, owners: set) -> list:
+    # Each function outside ``owners`` that applies a rule to one of its own arguments.
     copies = []
     for path in sorted(Path(qc.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if f"{path.name} {node.name}" in SCALAR_RULE_OWNERS:
+            if f"{path.name} {node.name}" in owners:
                 continue
             args = node.args
             params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
             calls = (n for statement in node.body for n in ast.walk(statement) if isinstance(n, ast.Call))
-            if any(_applies_the_scalar_rule(call, params) for call in calls):
+            if any(applies(call, params) for call in calls):
                 copies.append(f"{path.name}:{node.lineno} {node.name}")
-    assert copies == []
+    return copies
+
+
+# The report renderer converts and checks the values it writes out: an output rule, with its
+# own message, not a copy of the rule for arguments.
+SCALAR_RULE_OWNERS = {"errors.py finite_real", "serialization.py _render"}
+# The log utility's ``marginal`` and ``inverse_marginal`` are arithmetic on payouts and
+# slopes (``1 / x``), converted so that a scalar or list divides as an array does, as
+# ``np.power`` in the power branch already does; they gate nothing.
+ARRAY_RULE_OWNERS = {"errors.py numeric_array", "investment.py marginal", "investment.py inverse_marginal"}
+
+
+def test_the_scalar_rule_has_one_owner():
+    # A function that converts or checks one of its own arguments as a real number copies
+    # ``finite_real``; it should call it.
+    assert _copies_of_a_rule(_applies_the_scalar_rule, SCALAR_RULE_OWNERS) == []
+
+
+def test_the_array_rule_has_one_owner():
+    # A function that converts one of its own arguments to a typed array copies
+    # ``numeric_array``, and takes strings and bools with it; it should call the rule.
+    assert _copies_of_a_rule(_applies_the_array_rule, ARRAY_RULE_OWNERS) == []
