@@ -122,6 +122,7 @@ class _Command(NamedTuple):
     compute: Callable
     keys: tuple[str, ...]  # payload keys in decoding order
     optional: tuple[str, ...]
+    context: tuple[str, ...]  # which of "seed" and "tol" it takes
     help: str
 
 
@@ -131,26 +132,28 @@ _COMMANDS: dict[str, _Command] = {}
 def _command(name: str, help: str):
     """Enter the decorated computation in ``_COMMANDS`` as subcommand ``name``.
 
-    Its parameters other than ``seed`` and ``tol`` are the payload keys, in
-    decoding order; a key whose parameter has a default is optional.
+    Parameters named ``seed`` and ``tol``, if it has them, receive the run's
+    seed and tolerances; the others are the payload keys, in decoding order,
+    and a key whose parameter has a default is optional.
     """
 
     def register(compute):
         params = inspect.signature(compute).parameters.values()
-        keys = tuple(p.name for p in params if p.name not in ("seed", "tol"))
+        context = tuple(p.name for p in params if p.name in ("seed", "tol"))
+        keys = tuple(p.name for p in params if p.name not in context)
         optional = tuple(p.name for p in params if p.default is not p.empty)
-        _COMMANDS[name] = _Command(compute, keys, optional, help)
+        _COMMANDS[name] = _Command(compute, keys, optional, context, help)
         return compute
 
     return register
 
 
-# -- computations: each takes the decoded payload keys, the seed and the
-# tolerances, and returns (results, diagnostics, stderr summary)
+# -- computations: each takes the decoded payload keys, and the seed or the
+# tolerances if it names them, and returns (results, diagnostics, stderr summary)
 
 
 @_command("price", "price a claim and report its expected payout")
-def _price(*, p, kernel, claim, seed: int, tol: Tolerances):
+def _price(*, p, kernel, claim, tol: Tolerances):
     from .pricing import expected_payout, price
 
     results = {
@@ -162,7 +165,7 @@ def _price(*, p, kernel, claim, seed: int, tol: Tolerances):
 
 
 @_command("calibrate", "recover a pricing state from quoted prices")
-def _calibrate(*, n, bond_price, quotes, seed: int, tol: Tolerances):
+def _calibrate(*, n, bond_price, quotes, tol: Tolerances):
     from .pricing import calibrate, price
 
     kernel = calibrate(n, bond_price, quotes, tol=tol)
@@ -209,7 +212,7 @@ def _optimize(*, p, kernel, basis, budget, utility, verify_trials=256, seed: int
 
 
 @_command("returns", "return decomposition and divergence of the optimal schedule")
-def _returns(*, p, kernel, basis, budget, utility, horizon=1.0, seed: int, tol: Tolerances):
+def _returns(*, p, kernel, basis, budget, utility, horizon=1.0, tol: Tolerances):
     from .investment import excess_return_factor, kl_divergence, optimal_payouts, rate_of_return
     from .quantum import basis_marginals
 
@@ -241,10 +244,10 @@ def _returns(*, p, kernel, basis, budget, utility, horizon=1.0, seed: int, tol: 
 
 
 @_command("ks", "exact-cover count of one-per-tetrad markings, 18-ray system by default")
-def _ks(*, system=None, seed: int, tol: Tolerances):
+def _ks(*, system=None):
     if system is None:
         system = cabello_system()
-    structure = structure_diagnostics(system, tol=tol)
+    structure = structure_diagnostics(system)
     diagnostics = list(structure)
     colourings, witness = search_colourings(system)
     try:
@@ -287,7 +290,7 @@ def _ks(*, system=None, seed: int, tol: Tolerances):
 
 
 @_command("menu", "score and choose among the tetrad contracts")
-def _menu(*, system=None, state, payouts, utility=None, kernel=None, seed: int, tol: Tolerances):
+def _menu(*, system=None, state, payouts, utility=None, kernel=None, tol: Tolerances):
     from .kochen_specker import ContractMenu, choose_contract, menu_prices, menu_probabilities
 
     menu = ContractMenu(cabello_system() if system is None else system, payouts, state, kernel)
@@ -304,7 +307,7 @@ def _menu(*, system=None, state, payouts, utility=None, kernel=None, seed: int, 
 
 
 @_command("portfolio", "two-leg portfolio payout, price and covariance")
-def _portfolio(*, dims, rho, U, V, theta, kernel=None, seed: int, tol: Tolerances):
+def _portfolio(*, dims, rho, U, V, theta, kernel=None, tol: Tolerances):
     from .portfolio import (
         TwoPartyState,
         is_ppt,
@@ -383,7 +386,9 @@ def run(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             values = {key: _decode(key, payload[key], tol) for key in spec.keys if key in payload}
-            results, diagnostics, summary = spec.compute(seed=effective_seed, tol=tol, **values)
+            given = {"seed": effective_seed, "tol": tol}
+            values.update((name, given[name]) for name in spec.context)
+            results, diagnostics, summary = spec.compute(**values)
         report = {
             "kind": kind,
             "inputs_digest": digest,

@@ -80,7 +80,7 @@ def bounded_int(value, what: str, high: int = MAX_SIZE) -> int:
 
 
 def numeric_array(values, what: str, *, ndim: int, dtype=float):
-    """``values`` as a fresh ``dtype`` array, float or complex, of numbers that are not bools.
+    """``values`` as a fresh ``ndim``-dimensional ``dtype`` array, float or complex, of numbers not bools.
 
     A numeric ndarray, or a list of exactly typed leaves, converts in one copy; else a walk names
     the first bad entry ``what[i][j]`` (``ndim`` lists deep).  Floats come back finite; complex unchecked.
@@ -98,17 +98,22 @@ def numeric_array(values, what: str, *, ndim: int, dtype=float):
             # The conversion alone takes True, None (as NaN) and "1.5".
             if set(map(type, leaves)) <= ({int, float} if real else {int, float, complex}):
                 arr = converted
-    if arr is not None and (not real or np.isfinite(arr).all()):
-        return arr
-    stack = [(values, what, 0)]
-    while stack:  # row-major
-        node, path, depth = stack.pop()
-        node = node.tolist() if isinstance(node, np.ndarray) else node
-        if isinstance(node, (list, tuple)) and depth < ndim:
-            stack.extend((node[i], f"{path}[{i}]", depth + 1) for i in reversed(range(len(node))))
-        elif real or not isinstance(node, (complex, np.complexfloating)):
-            finite_real(node, path)
-    try:
-        return np.array(values, dtype=dtype)
-    except ValueError:  # ragged
-        raise DimensionMismatchError(f"{what} must be a rectangular array") from None
+    if arr is None or (real and not np.isfinite(arr).all()):
+        stack = [(values, what, 0)]
+        while stack:  # row-major
+            node, path, depth = stack.pop()
+            node = node.tolist() if isinstance(node, np.ndarray) else node
+            if isinstance(node, (list, tuple)) and depth < ndim:
+                stack.extend((node[i], f"{path}[{i}]", depth + 1) for i in reversed(range(len(node))))
+            elif real or not isinstance(node, (complex, np.complexfloating)):
+                finite_real(node, path)
+        try:
+            arr = np.array(values, dtype=dtype)
+        except ValueError:  # ragged
+            raise DimensionMismatchError(f"{what} must be a rectangular array") from None
+    if arr.ndim != ndim:
+        words = ("zero", "one", "two", "three")
+        raise DimensionMismatchError(
+            f"{what} must be a {words[ndim]}-dimensional array, got shape {arr.shape}"
+        )
+    return arr

@@ -129,7 +129,7 @@ class DivergenceReport:
 
 def _checked_distribution(values, name: str, tol: Tolerances) -> np.ndarray:
     arr = numeric_array(values, name, ndim=1)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty vector")
     if (arr < 0).any():
         raise ValidationError(f"{name} must be finite and nonnegative")

@@ -1,25 +1,22 @@
-"""An 18-ray, 9-tetrad orthogonality system in real 4-space and its contract menu.
+"""Orthogonality systems of integer rays in real 4-space, and their contract menu.
 
-No assignment of {0, 1} to the rays can mark exactly one ray per tetrad:
-an exact-cover count of the one-per-tetrad markings finds none, and a
-parity argument explains why (each ray sits in exactly two tetrads, so any
-assignment's total over tetrads is even, while nine tetrads demanding one
-mark each force an odd total).  A sample space of outcomes with one
-classical probability per ray would require such an assignment to exist
-for deterministic reasoning, which is exactly what fails here.
+A system is any list of integer rays with tetrads naming four of them each;
+``cabello_system`` is the embedded 18-ray, 9-tetrad one.  A tetrad is sound
+when its rays are pairwise orthogonal, decided exactly in integers: four
+such nonzero rays form an orthogonal basis, whose normalized projectors sum
+to the identity exactly, so soundness has no floating-point check.
 
-Rays are integer vectors, so a tetrad's orthogonality is decided exactly
-in integer arithmetic.  Four pairwise-orthogonal nonzero rays in 4-space
-form an orthogonal basis, whose normalized projectors sum to the identity
-exactly; the floating-point completeness gap is therefore computed, and
-reported, only for a tetrad that fails the exact test.  The structure
-checks, the search and the parity argument are integer arithmetic and do
-not load numpy; the contract menu and that completeness gap import it
-when they run.
+``search_colourings`` counts, as an exact cover, the {0, 1} assignments
+marking exactly one ray per tetrad.  ``parity_certificate`` proves there
+are none when each ray sits in exactly two tetrads and the tetrad count is
+odd, as in the embedded system; then no assignment of definite outcomes to
+the rays, one per measurement and the same in every tetrad, exists.
 
-The same nine tetrads double as a menu of nine contracts, each paying on
-the four outcomes of its tetrad's measurement.  A menu accepts only
-orthogonal tetrads, so each contract's outcome probabilities sum to one.
+The structure check, the search and the parity argument are integer
+arithmetic and load no numpy.  Only the contract menu imports it, when it
+runs: each tetrad is a contract paying on the four outcomes of its
+measurement, and a menu accepts only sound tetrads, so each contract's
+outcome probabilities sum to one.
 """
 
 from __future__ import annotations
@@ -125,10 +122,10 @@ class KSSystem:
 
     Construction checks only well-formedness: resolvable distinct ids, and
     rays distinct as directions, so no ray is a nonzero multiple of another
-    (both would be one projector).  Whether the tetrads are
-    genuinely orthogonal and complete is the job of verify_structure, so
-    defective systems can be built and examined.  How many tetrads hold
-    each ray is a precondition of parity_certificate, not of soundness.
+    (both would be one projector).  Whether the tetrads are genuinely
+    orthogonal is the job of verify_structure, so defective systems can be
+    built and examined.  How many tetrads hold each ray is a precondition
+    of parity_certificate, not of soundness.
     """
 
     __slots__ = ("rays", "bases", "_by_id", "_incidence")
@@ -209,55 +206,23 @@ def cabello_system() -> KSSystem:
     return KSSystem(rays, bases)
 
 
-def _orthogonality_problems(system: KSSystem, b: int) -> list[str]:
-    """One message per pair of rays in tetrad ``b`` whose exact dot product is nonzero."""
-    ids = system.bases[b].ray_ids
-    comps = [system.ray(rid).components for rid in ids]
+def structure_diagnostics(system: KSSystem) -> list[str]:
+    """One message per nonzero dot product of two rays in a tetrad; empty when sound."""
     problems = []
-    for i, j in _PAIRS:
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = comps[i], comps[j]
-        product = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-        if product:
-            problems.append(
-                f"tetrad {b}: rays {ids[i]} and {ids[j]} "
-                f"have dot product {product}"
-            )
-    return problems
-
-
-def structure_diagnostics(
-    system: KSSystem, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[str]:
-    """Every way a tetrad fails to be an orthogonal basis; empty when sound.
-
-    Checks exact integer orthogonality within each tetrad.  Four pairwise-
-    orthogonal nonzero rays in 4-space form an orthogonal basis, so their
-    normalized projectors sum to the identity exactly; the floating-point
-    completeness gap is computed, and reported beyond ``tol.completeness``,
-    only for a tetrad that fails the exact test.
-    """
-    problems: list[str] = []
     for b, basis in enumerate(system.bases):
-        clashes = _orthogonality_problems(system, b)
-        if not clashes:
-            continue
-        problems.extend(clashes)
-        import numpy as np
-
-        total = np.zeros((4, 4))
-        for rid in basis.ray_ids:
-            ray = system.ray(rid)
-            v = np.array(ray.components, dtype=float)
-            total += np.outer(v, v) / ray.norm_squared()
-        gap = float(np.abs(total - np.eye(4)).max())
-        if not gap <= tol.completeness:
-            problems.append(f"tetrad {b}: projectors sum to identity only within {gap:.3e}")
+        ids = basis.ray_ids
+        comps = [system.ray(rid).components for rid in ids]
+        for i, j in _PAIRS:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = comps[i], comps[j]
+            product = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+            if product:
+                problems.append(f"tetrad {b}: rays {ids[i]} and {ids[j]} have dot product {product}")
     return problems
 
 
-def verify_structure(system: KSSystem, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def verify_structure(system: KSSystem) -> bool:
     """True iff every tetrad is an orthogonal basis of 4-space."""
-    return not structure_diagnostics(system, tol=tol)
+    return not structure_diagnostics(system)
 
 
 def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:
@@ -341,13 +306,12 @@ def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:
 
 
 def parity_certificate(system: KSSystem) -> bool:
-    """Parity proof that no one-per-tetrad assignment exists.
+    """Parity proof that no one-per-tetrad assignment exists: True, or ``ValidationError``.
 
-    Requires each ray in exactly two tetrads and an odd number of tetrads.
-    Summing any assignment over tetrads counts every marked ray twice
-    (even), yet one mark per tetrad would make the sum equal the odd
-    tetrad count; the obstruction therefore applies whenever the
-    preconditions hold.
+    The proof needs each ray in exactly two tetrads and an odd number of
+    tetrads; the error names the precondition that is unmet.  Summing any
+    assignment over tetrads counts every marked ray twice (even), yet one
+    mark per tetrad would make the sum equal the odd tetrad count.
     """
     incidence = system.incidence()
     bad = [rid for rid, hits in sorted(incidence.items()) if len(hits) != 2]
@@ -380,7 +344,7 @@ class ContractMenu:
         kernel: PricingKernel | None = None,
     ):
         table = numeric_array(payout_tables, "payout table", ndim=2)
-        if table.ndim != 2 or table.shape != (len(system.bases), 4):
+        if table.shape != (len(system.bases), 4):
             raise DimensionMismatchError(
                 f"payout table shape {table.shape} does not match "
                 f"({len(system.bases)}, 4) contracts-by-outcomes"
@@ -391,10 +355,9 @@ class ContractMenu:
             raise DimensionMismatchError(f"menu state must have dimension 4, got {state.dim}")
         if kernel is not None and kernel.dim != 4:
             raise DimensionMismatchError(f"menu kernel must have dimension 4, got {kernel.dim}")
-        for b in range(len(system.bases)):
-            clashes = _orthogonality_problems(system, b)
-            if clashes:
-                raise ValidationError(clashes[0])
+        problems = structure_diagnostics(system)
+        if problems:
+            raise ValidationError(problems[0])
         table.setflags(write=False)
         self.system = system
         self.payout_tables = table

@@ -37,8 +37,6 @@ __all__ = _EXPORTS["pricing"]
 def _payout_vector(payouts, basis: MeasurementBasis) -> np.ndarray:
     """A fresh finite float copy of ``payouts``, one entry per outcome of ``basis``."""
     arr = numeric_array(payouts, "payouts", ndim=1)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"payouts must be a one-dimensional array, got shape {arr.shape}")
     if arr.shape[0] != basis.dim:
         raise DimensionMismatchError(f"{arr.size} payouts for a dimension-{basis.dim} basis")
     return arr

@@ -25,7 +25,7 @@ def _complex_square(entries, what: str) -> np.ndarray:
     # Finiteness is left to the caller's gate: a non-finite entry makes its deviation
     # nan or inf, and the failure branch calls _require_finite before its own message.
     arr = numeric_array(entries, what, ndim=2, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValidationError(f"{what} must have dimension at least 1")
@@ -137,7 +137,7 @@ def standard_basis(n: int) -> MeasurementBasis:
 def from_spectrum(eigenvalues, basis: MeasurementBasis) -> HermitianOperator:
     """Assemble sum_j eigenvalues[j] |v_j><v_j| over the given basis."""
     vals = numeric_array(eigenvalues, "eigenvalues", ndim=1)
-    if vals.ndim != 1 or vals.shape[0] != basis.dim:
+    if vals.shape[0] != basis.dim:
         raise DimensionMismatchError(f"{vals.size} eigenvalues for a dimension-{basis.dim} basis")
     return _assemble(vals, basis.vectors)
 
@@ -213,7 +213,7 @@ def born_probability(
 ) -> float:
     """Probability <v|state|v> of the outcome along a unit vector ``v``."""
     v = numeric_array(vector, "outcome vector", ndim=1, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != state.dim:
+    if v.shape[0] != state.dim:
         raise DimensionMismatchError(
             f"vector of length {v.size} against a dimension-{state.dim} state"
         )

@@ -21,7 +21,7 @@ import math
 from contextlib import suppress
 from typing import TYPE_CHECKING, Any
 
-from .errors import ValidationError, is_integer, numeric_array
+from .errors import NumericalError, ValidationError, is_integer, numeric_array
 from .errors import finite_real as real_from_json  # the library's own rule, not a copy
 from .kochen_specker import KSBasis, KSRay, KSSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -86,7 +86,7 @@ def _complex_rows_from_json(obj: Any, what: str) -> np.ndarray:
     # Whatever the array rule rejects, or any shape but (rows, columns, 2), goes to the walk.
     with suppress(ValidationError):
         arr = numeric_array(obj, what, ndim=3)
-        if arr.ndim == 3 and arr.shape[2] == 2:  # so rows and columns are nonempty
+        if arr.shape[2] == 2:  # so rows and columns are nonempty
             return arr.view(complex)[..., 0]  # keeps the sign of a zero real part
     return _complex_rows_walk(obj, what)
 
@@ -231,7 +231,7 @@ def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
     kind = type(value)
     if kind is float:
         if not math.isfinite(value):
-            raise ValidationError(f"reports may not contain non-finite numbers, got {value!r}")
+            raise NumericalError(f"reports may not contain non-finite numbers, got {value!r}")
         pieces.append(format(value, ".17g"))
     elif kind is int:
         pieces.append(str(value))
@@ -299,7 +299,11 @@ def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
 
 
 def render_json(value: Any, pretty: bool = False) -> str:
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON text: sorted keys, floats at 17 significant digits.
+
+    A non-finite float raises ``NumericalError``: every decoded input is
+    finite, so one in a report comes from the computation.
+    """
     pieces: list[str] = []
     _render(value, pieces, 0, pretty)
     return "".join(pieces)

@@ -32,7 +32,6 @@ class Tolerances:
     additivity: float = 1e-10
     excess_identity: float = 1e-10
     optimality: float = 1e-9
-    completeness: float = 1e-12
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every threshold multiplied by ``factor``."""

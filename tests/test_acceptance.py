@@ -31,7 +31,7 @@ def test_criterion_1_no_classical_assignment():
             for j in range(i + 1, 4):
                 if members[i].dot(members[j]) == 0:
                     orthogonal_pairs += 1
-    complete = qc.verify_structure(system)  # completeness within 1e-12 included
+    complete = qc.verify_structure(system)  # pairwise orthogonal, hence complete
     count, witness = qc.search_colourings(system)
     parity = qc.parity_certificate(system)
     elapsed = time.perf_counter() - started

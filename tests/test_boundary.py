@@ -7,12 +7,13 @@ that derived values skip the gates.  Then each input rule that a caller
 leaves to the one function owning it is shown to still reject, from the
 library and from the command line, and every real or integer scalar
 argument, size and numeric array is shown to go through the one rule in
-``qclaim.errors``.  The last tests keep every ``tol=`` keyword meaningful,
-since a function accepts one only to read it, and keep the scalar and array
-rules the only copies.
+``qclaim.errors``.  The last tests keep every ``tol=`` keyword and every
+``Tolerances`` field meaningful, since each exists only to be read, and keep
+the scalar and array rules the only copies.
 """
 
 import ast
+import dataclasses
 import json
 import math
 import warnings
@@ -424,6 +425,33 @@ def test_array_sites_take_any_numbers_as_their_floats(site, kind):
     assert type(got) is type(want) and np.array_equal(got, want)
 
 
+# Arrays one dimension off, made from a valid one: every entry doubled into a pair, which
+# converts at array speed, and a matrix's first row alone as Fractions, which is walked.
+OTHER_DEPTH = {
+    "nested-pair": lambda good: _leaves_as(lambda v: [v, v], good),
+    "first-row-Fractions": lambda good: _leaves_as(Fraction, good[0]),
+}
+
+
+@pytest.mark.parametrize(
+    "site, kind",
+    [
+        (site, kind)
+        for site, (_, good) in ARRAY_SITES.items()
+        for kind in OTHER_DEPTH
+        if kind == "nested-pair" or (site not in WIRE_SITES and isinstance(good[0], list))
+    ],
+)
+def test_array_sites_reject_any_other_number_of_dimensions(site, kind):
+    call, good = ARRAY_SITES[site]
+    if site == "matrix_from_json":  # an entry must be an [re, im] pair, and the walk names it
+        error, message = qc.ValidationError, r"^m\[0\]\[0\]\[0\] must be a number, got \[1, 1\]$"
+    else:
+        error, message = qc.DimensionMismatchError, r" must be a (one|two)-dimensional array, got shape \([\d, ]*\)$"
+    with pytest.raises(error, match=message):
+        call(OTHER_DEPTH[kind](good))
+
+
 def test_a_nan_weight_is_named_without_a_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -448,6 +476,17 @@ def test_every_tol_parameter_is_read():
             if not any(isinstance(n, ast.Name) and n.id == "tol" for n in body):
                 unread.append(f"{path.name}:{node.lineno} {node.name}")
     assert unread == []
+
+
+def test_every_tolerance_field_is_read():
+    # A field that no module but its own reads as an attribute is a threshold nothing applies.
+    read = set()
+    for path in sorted(Path(qc.__file__).parent.glob("*.py")):
+        if path.name != "tolerances.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    assert [f.name for f in dataclasses.fields(qc.Tolerances) if f.name not in read] == []
 
 
 def _applies_the_scalar_rule(call: ast.Call, params: set) -> bool:

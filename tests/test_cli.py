@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import random
 import re
@@ -212,6 +213,20 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     record = error_record(capsys)
     assert record["exit_code"] == 3 and record["type"] == "numerical"
     assert "rank" in record["message"]
+
+
+def test_a_non_finite_result_exits_3(tmp_path, capsys):
+    # Finite inputs whose expected payout rounds past the largest float.
+    c, s = math.cos(0.1), math.sin(0.1)
+    document = price_scenario()
+    document["payload"]["claim"] = {
+        "basis": [[[c, 0.0], [s, 0.0]], [[-s, 0.0], [c, 0.0]]],
+        "payouts": [1.7976931348623157e308, 1.7976931348623157e308],
+    }
+    assert cli.run("price", write_scenario(tmp_path, document)) == 3
+    record = single_error_record(capsys)
+    assert record["exit_code"] == 3 and record["type"] == "numerical"
+    assert record["message"] == "reports may not contain non-finite numbers, got inf"
 
 
 def test_degenerate_marginal_exits_3(tmp_path, capsys):

@@ -147,6 +147,32 @@ def test_ks_run_loads_no_numeric_module(tmp_path):
     assert numeric_after_run == []
 
 
+def test_unsound_ks_run_loads_no_numeric_module(tmp_path):
+    # One tetrad in which ray 3 meets rays 0 and 1 at dot product 1.
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 1]]
+    system = {"rays": rays, "bases": [[0, 1, 2, 3]]}
+    scenario = tmp_path / "unsound.json"
+    scenario.write_text(json.dumps({"kind": "ks", "payload": {"system": system}}))
+    out = tmp_path / "report.json"
+    argv = ["ks", "--scenario", str(scenario), "--out", str(out)]
+    code, numeric_after_run = fresh(
+        "import json, sys\n"
+        "from qclaim.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {NUMERIC!r} if m in sys.modules]]))\n"
+    )
+    assert code == 0
+    assert numeric_after_run == []
+    report = json.loads(out.read_text())
+    assert report["results"]["structure_ok"] is False
+    assert report["diagnostics"] == [
+        "tetrad 0: rays 0 and 3 have dot product 1",
+        "tetrad 0: rays 1 and 3 have dot product 1",
+        "parity certificate unavailable: incidence precondition unmet: "
+        "rays [0, 1, 2, 3] are not in exactly two tetrads",
+    ]
+
+
 def test_every_export_resolves_to_its_module_attribute_in_a_fresh_process():
     # Each name is read from the package first, before its module is imported.
     identical = fresh(

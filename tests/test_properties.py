@@ -185,3 +185,26 @@ def test_nparty_payout_is_additive_over_marginals(drawn):
     )
     got = qc.nparty_expected_payout(state, legs, weights)
     assert abs(got - want) <= qc.DEFAULT_TOLERANCES.additivity * max(1.0, abs(want))
+
+
+@st.composite
+def parity_systems(draw):
+    """An odd number of tetrads, 3 to 15, over rays that each sit in exactly two of them."""
+    count = draw(st.sampled_from(range(3, 16, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rays = [qc.KSRay(i, (1, i, i * i, 0)) for i in range(2 * count)]
+    ids = [i for i in range(2 * count) for _ in range(2)]
+    while True:
+        rng.shuffle(ids)
+        tetrads = [ids[4 * t : 4 * t + 4] for t in range(count)]
+        if all(len(set(tetrad)) == 4 for tetrad in tetrads):
+            return qc.KSSystem(rays, [qc.KSBasis(tuple(tetrad)) for tetrad in tetrads])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parity_systems())
+def test_a_parity_certificate_implies_no_colouring(system):
+    # Each ray counted twice makes any assignment's total over tetrads even; one mark
+    # in each of an odd number of tetrads makes it odd.
+    assert qc.parity_certificate(system) is True
+    assert qc.search_colourings(system) == (0, None)
