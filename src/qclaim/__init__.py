@@ -23,7 +23,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances, tolerances_from_env
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"
 

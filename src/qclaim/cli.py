@@ -44,7 +44,6 @@ from .serialization import (
     require_keys,
     utility_from_json,
 )
-from .tolerances import Tolerances, tolerances_from_env
 
 __all__ = ["main", "run", "SUBCOMMANDS", "EXIT_OK", "EXIT_VALIDATION", "EXIT_NUMERICAL"]
 
@@ -104,25 +103,17 @@ _DECODERS = {
     "theta": "_real_pair_from_json",
     "payouts": "_payout_rows_from_json",
 }
-# The decoders that take the tolerances: those that build checked matrices.
-_TOL_DECODERS = frozenset(
-    name for name in _DECODERS.values() if "tol" in inspect.signature(globals()[name]).parameters
-)
 
 
-def _decode(key: str, obj, tol: Tolerances):
-    name = _DECODERS[key]
-    decoder = globals()[name]
-    if name in _TOL_DECODERS:
-        return decoder(obj, f"payload.{key}", tol=tol)
-    return decoder(obj, f"payload.{key}")
+def _decode(key: str, obj):
+    return globals()[_DECODERS[key]](obj, f"payload.{key}")
 
 
 class _Command(NamedTuple):
     compute: Callable
     keys: tuple[str, ...]  # payload keys in decoding order
     optional: tuple[str, ...]
-    context: tuple[str, ...]  # which of "seed" and "tol" it takes
+    seeded: bool  # whether it takes the run's seed
     help: str
 
 
@@ -132,46 +123,46 @@ _COMMANDS: dict[str, _Command] = {}
 def _command(name: str, help: str):
     """Enter the decorated computation in ``_COMMANDS`` as subcommand ``name``.
 
-    Parameters named ``seed`` and ``tol``, if it has them, receive the run's
-    seed and tolerances; the others are the payload keys, in decoding order,
-    and a key whose parameter has a default is optional.
+    A parameter named ``seed``, if it has one, receives the run's seed; the
+    others are the payload keys, in decoding order, and a key whose parameter
+    has a default is optional.
     """
 
     def register(compute):
-        params = inspect.signature(compute).parameters.values()
-        context = tuple(p.name for p in params if p.name in ("seed", "tol"))
-        keys = tuple(p.name for p in params if p.name not in context)
-        optional = tuple(p.name for p in params if p.default is not p.empty)
-        _COMMANDS[name] = _Command(compute, keys, optional, context, help)
+        params = inspect.signature(compute).parameters
+        keys = tuple(key for key in params if key != "seed")
+        optional = tuple(p.name for p in params.values() if p.default is not p.empty)
+        _COMMANDS[name] = _Command(compute, keys, optional, "seed" in params, help)
         return compute
 
     return register
 
 
-# -- computations: each takes the decoded payload keys, and the seed or the
-# tolerances if it names them, and returns (results, diagnostics, stderr summary)
+# -- computations: each takes the decoded payload keys, and the seed if it names
+# it, and returns (results, diagnostics, stderr summary); every gate applies
+# the library's default tolerances
 
 
 @_command("price", "price a claim and report its expected payout")
-def _price(*, p, kernel, claim, tol: Tolerances):
+def _price(*, p, kernel, claim):
     from .pricing import expected_payout, price
 
     results = {
-        "price": price(kernel, claim, tol=tol),
-        "expected_payout": expected_payout(p, claim, tol=tol),
+        "price": price(kernel, claim),
+        "expected_payout": expected_payout(p, claim),
     }
     summary = f"price {results['price']:.12g}, expected payout {results['expected_payout']:.12g}"
     return results, [], summary
 
 
 @_command("calibrate", "recover a pricing state from quoted prices")
-def _calibrate(*, n, bond_price, quotes, tol: Tolerances):
+def _calibrate(*, n, bond_price, quotes):
     from .pricing import calibrate, price
 
-    kernel = calibrate(n, bond_price, quotes, tol=tol)
+    kernel = calibrate(n, bond_price, quotes)
     repricing_error = 0.0
     for claim, observed in quotes:
-        repricing_error = max(repricing_error, abs(price(kernel, claim, tol=tol) - observed))
+        repricing_error = max(repricing_error, abs(price(kernel, claim) - observed))
     results = {
         "kernel": kernel_to_json(kernel),
         "quote_count": len(quotes),
@@ -186,21 +177,21 @@ def _calibrate(*, n, bond_price, quotes, tol: Tolerances):
 
 
 @_command("optimize", "solve for the utility-optimal payout schedule")
-def _optimize(*, p, kernel, basis, budget, utility, verify_trials=256, seed: int, tol: Tolerances):
+def _optimize(*, p, kernel, basis, budget, utility, verify_trials=256, seed: int):
     import numpy as np
 
     from .investment import expected_utility, optimal_payouts, verify_optimality
 
-    investment = optimal_payouts(p, kernel, basis, budget, utility, tol=tol)
+    investment = optimal_payouts(p, kernel, basis, budget, utility)
     verified = verify_optimality(
-        investment, p, kernel, utility, verify_trials, np.random.default_rng(seed), tol=tol
+        investment, p, kernel, utility, verify_trials, np.random.default_rng(seed)
     )
     results = {
         "budget": investment.budget,
         "payouts": investment.payouts.tolist(),
         "multiplier": investment.multiplier,
         "realized_price": investment.realized_price,
-        "expected_utility": expected_utility(p, basis, investment.payouts, utility, tol=tol),
+        "expected_utility": expected_utility(p, basis, investment.payouts, utility),
         "verify_trials": verify_trials,
         "verified_optimal": verified,
     }
@@ -212,18 +203,18 @@ def _optimize(*, p, kernel, basis, budget, utility, verify_trials=256, seed: int
 
 
 @_command("returns", "return decomposition and divergence of the optimal schedule")
-def _returns(*, p, kernel, basis, budget, utility, horizon=1.0, tol: Tolerances):
+def _returns(*, p, kernel, basis, budget, utility, horizon=1.0):
     from .investment import excess_return_factor, kl_divergence, optimal_payouts, rate_of_return
     from .quantum import basis_marginals
 
-    investment = optimal_payouts(p, kernel, basis, budget, utility, tol=tol)
+    investment = optimal_payouts(p, kernel, basis, budget, utility)
     log_utility = utility.kind == "log"
     report = rate_of_return(
-        p, kernel, basis, investment.payouts, horizon, verify_log_optimal=log_utility, tol=tol
+        p, kernel, basis, investment.payouts, horizon, verify_log_optimal=log_utility
     )
-    p_m = basis_marginals(p, basis, tol=tol)
-    q_m = basis_marginals(kernel.q, basis, tol=tol)
-    divergence = kl_divergence(p_m, q_m, tol=tol)
+    p_m = basis_marginals(p, basis)
+    q_m = basis_marginals(kernel.q, basis)
+    divergence = kl_divergence(p_m, q_m)
     results = {
         "payouts": investment.payouts.tolist(),
         "gross_return": report.gross_return,
@@ -236,7 +227,7 @@ def _returns(*, p, kernel, basis, budget, utility, horizon=1.0, tol: Tolerances)
         "q_marginals": divergence.q_marginals.tolist(),
     }
     if log_utility:
-        factor = excess_return_factor(p_m, q_m, tol=tol)
+        factor = excess_return_factor(p_m, q_m)
         results["growth_factor"] = factor
         results["excess_bound_slack"] = factor - 1.0 - divergence.kl
     summary = f"gross return {report.gross_return:.12g}, excess rate {report.excess_rate:.12g}"
@@ -290,24 +281,24 @@ def _ks(*, system=None):
 
 
 @_command("menu", "score and choose among the tetrad contracts")
-def _menu(*, system=None, state, payouts, utility=None, kernel=None, tol: Tolerances):
+def _menu(*, system=None, state, payouts, utility=None, kernel=None):
     from .kochen_specker import ContractMenu, choose_contract, menu_prices, menu_probabilities
 
     menu = ContractMenu(cabello_system() if system is None else system, payouts, state, kernel)
-    chosen, scores = choose_contract(menu, utility, tol=tol)
+    chosen, scores = choose_contract(menu, utility)
     results = {
-        "probabilities": menu_probabilities(menu, tol=tol).tolist(),
+        "probabilities": menu_probabilities(menu).tolist(),
         "scores": scores.tolist(),
         "chosen_contract": chosen,
         "scoring": "expected_payout" if utility is None else "expected_utility",
     }
     if kernel is not None:
-        results["prices"] = menu_prices(menu, tol=tol).tolist()
+        results["prices"] = menu_prices(menu).tolist()
     return results, [], f"chosen contract {chosen} with score {scores[chosen]:.12g}"
 
 
 @_command("portfolio", "two-leg portfolio payout, price and covariance")
-def _portfolio(*, dims, rho, U, V, theta, kernel=None, tol: Tolerances):
+def _portfolio(*, dims, rho, U, V, theta, kernel=None):
     from .portfolio import (
         TwoPartyState,
         is_ppt,
@@ -319,16 +310,16 @@ def _portfolio(*, dims, rho, U, V, theta, kernel=None, tol: Tolerances):
 
     state = TwoPartyState(dims, rho)
     observable = portfolio_observable(U, V, theta)
-    expected = portfolio_expected_payout(state, observable, tol=tol)
+    expected = portfolio_expected_payout(state, observable)
     physical = payout_covariance(state, U, V, "physical")
     results = {
         "expected_payout": expected,
         "leg_means": list(physical.marginal_means),
         "covariance": physical.covariance,
-        "ppt": is_ppt(state, tol=tol),
+        "ppt": is_ppt(state),
     }
     if kernel is not None:
-        results["price"] = portfolio_price(kernel, observable, tol=tol)
+        results["price"] = portfolio_price(kernel, observable)
         pricing = payout_covariance(TwoPartyState(dims, kernel.q), U, V, "pricing")
         results["pricing_leg_means"] = list(pricing.marginal_means)
         results["pricing_covariance"] = pricing.covariance
@@ -367,7 +358,6 @@ def run(
     except (ValueError, RecursionError) as exc:
         return _fail(EXIT_VALIDATION, "validation", f"scenario is not valid JSON: {exc}")
     try:
-        tol = tolerances_from_env()
         scenario = require_keys(document, "scenario", required=("kind", "payload"), optional=("seed",))
         kind = scenario["kind"]
         if kind != command:
@@ -385,9 +375,9 @@ def run(
         # of the error record; the gates still see the inf or nan and fail the run.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            values = {key: _decode(key, payload[key], tol) for key in spec.keys if key in payload}
-            given = {"seed": effective_seed, "tol": tol}
-            values.update((name, given[name]) for name in spec.context)
+            values = {key: _decode(key, payload[key]) for key in spec.keys if key in payload}
+            if spec.seeded:
+                values["seed"] = effective_seed
             results, diagnostics, summary = spec.compute(**values)
         report = {
             "kind": kind,

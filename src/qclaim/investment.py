@@ -59,20 +59,21 @@ class UtilityFunction:
     def power(cls, exponent: float) -> "UtilityFunction":
         return cls("power", exponent)
 
+    @property
+    def _marginal_exponent(self) -> float:
+        """p - 1, marginal utility being x**(p - 1) in both families, with p = 0 for log."""
+        return (0.0 if self.exponent is None else self.exponent) - 1.0
+
     def value(self, payout):
         if self.kind == "log":
             return np.log(payout)
         return np.power(payout, self.exponent) / self.exponent
 
     def marginal(self, payout):
-        if self.kind == "log":
-            return 1.0 / np.asarray(payout, dtype=float)
-        return np.power(payout, self.exponent - 1.0)
+        return np.power(payout, self._marginal_exponent)
 
     def inverse_marginal(self, slope):
-        if self.kind == "log":
-            return 1.0 / np.asarray(slope, dtype=float)
-        return np.power(slope, 1.0 / (self.exponent - 1.0))
+        return np.power(slope, 1.0 / self._marginal_exponent)
 
 
 class OptimalInvestment:
@@ -171,11 +172,9 @@ def solve_multiplier(
     if not 0.0 < discount <= 1.0:
         raise ValidationError(f"discount factor must lie in (0, 1], got {discount!r}")
 
-    slope_power = 0.0 if utility.kind == "log" else utility.exponent
-    log_sum = float(np.logaddexp.reduce(np.log(weights) + np.log(ratios) / (slope_power - 1.0)))
-    log_multiplier = (slope_power - 1.0) * (
-        math.log(budget) - math.log(discount) - log_sum
-    )
+    slope_power = utility._marginal_exponent
+    log_sum = float(np.logaddexp.reduce(np.log(weights) + np.log(ratios) / slope_power))
+    log_multiplier = slope_power * (math.log(budget) - math.log(discount) - log_sum)
     lo, hi = _MULTIPLIER_RANGE
     if not math.log(lo) <= log_multiplier <= math.log(hi):
         raise SolverError(

@@ -118,22 +118,30 @@ def matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
+def _checked(construct, what: str, *args, **kwargs):
+    """Call ``construct``; a ``ValidationError`` it raises is re-raised, same class, led by ``what``."""
+    try:
+        return construct(*args, **kwargs)
+    except ValidationError as exc:
+        raise type(exc)(f"{what}: {exc}") from None
+
+
 def hermitian_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     from .quantum import HermitianOperator
 
-    return HermitianOperator(matrix_from_json(obj, what), tol=tol)
+    return _checked(HermitianOperator, what, matrix_from_json(obj, what), tol=tol)
 
 
 def density_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
     from .quantum import DensityMatrix
 
-    return DensityMatrix(matrix_from_json(obj, what), tol=tol)
+    return _checked(DensityMatrix, what, matrix_from_json(obj, what), tol=tol)
 
 
 def basis_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
     from .quantum import MeasurementBasis
 
-    return MeasurementBasis(_complex_rows_from_json(obj, what), tol=tol)
+    return _checked(MeasurementBasis, what, _complex_rows_from_json(obj, what), tol=tol)
 
 
 def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> FinancialClaim:
@@ -144,7 +152,7 @@ def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES
     payouts = record["payouts"]
     if not isinstance(payouts, list):
         raise ValidationError(f"{what}.payouts must be an array")
-    return FinancialClaim(basis, numeric_array(payouts, f"{what}.payouts", ndim=1))
+    return _checked(FinancialClaim, what, basis, numeric_array(payouts, f"{what}.payouts", ndim=1))
 
 
 def kernel_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> PricingKernel:
@@ -153,7 +161,7 @@ def kernel_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCE
     record = require_keys(obj, what, required=("discount", "q"))
     discount = real_from_json(record["discount"], f"{what}.discount")
     q = density_from_json(record["q"], f"{what}.q", tol=tol)
-    return PricingKernel(discount, q)
+    return _checked(PricingKernel, what, discount, q)
 
 
 def kernel_to_json(kernel: PricingKernel) -> dict:
@@ -177,16 +185,8 @@ def utility_from_json(obj: Any, what: str) -> UtilityFunction:
     from .investment import UtilityFunction
 
     record = require_keys(obj, what, required=("kind",), optional=("p",))
-    kind = record["kind"]
-    if kind == "log":
-        if "p" in record:
-            raise ValidationError(f"{what}: log utility takes no exponent")
-        return UtilityFunction.log()
-    if kind == "power":
-        if "p" not in record:
-            raise ValidationError(f"{what}: power utility requires an exponent p")
-        return UtilityFunction.power(real_from_json(record["p"], f"{what}.p"))
-    raise ValidationError(f'{what}.kind must be "log" or "power", got {kind!r}')
+    exponent = real_from_json(record["p"], f"{what}.p") if "p" in record else None
+    return _checked(UtilityFunction, what, record["kind"], exponent)
 
 
 def ks_system_from_json(obj: Any, what: str) -> KSSystem:

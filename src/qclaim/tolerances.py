@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from .errors import ValidationError, finite_real
-
-TOL_SCALE_ENV = "QCLAIM_TOL_SCALE"
 
 
 @dataclass(frozen=True)
@@ -44,16 +41,3 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-def tolerances_from_env(environ=None) -> Tolerances:
-    """Default tolerances scaled by the ``QCLAIM_TOL_SCALE`` variable (default 1)."""
-    env = os.environ if environ is None else environ
-    raw = env.get(TOL_SCALE_ENV)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_TOLERANCES
-    try:
-        factor = float(raw)
-    except ValueError:
-        raise ValidationError(f"{TOL_SCALE_ENV} must parse as a float, got {raw!r}") from None
-    return DEFAULT_TOLERANCES.scaled(factor)

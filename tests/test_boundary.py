@@ -5,7 +5,8 @@ they no longer pass through, so a derivation that drifts out of them
 shows up here.  The second group counts validating constructions and pins
 that derived values skip the gates.  Then each input rule that a caller
 leaves to the one function owning it is shown to still reject, from the
-library and from the command line, and every real or integer scalar
+library and from the command line; a table pins the class and message of
+each gate no other test reaches; and every real or integer scalar
 argument, size and numeric array is shown to go through the one rule in
 ``qclaim.errors``.  The last tests keep every ``tol=`` keyword and every
 ``Tolerances`` field meaningful, since each exists only to be read, and keep
@@ -219,6 +220,152 @@ MOVED_RULES = {
 @pytest.mark.parametrize("case", MOVED_RULES)
 def test_each_moved_rule_still_rejects(case, tmp_path, capsys):
     MOVED_RULES[case](tmp_path, capsys)
+
+
+_PURE = qc.DensityMatrix(np.diag([1.0, 0.0]))
+# Gates that no other test reaches, each as (a call that trips it, the exact class it
+# raises, the exact message).
+GATE_MESSAGES = {
+    "kl_divergence-empty": (
+        lambda: qc.kl_divergence([], []),
+        qc.ValidationError,
+        "physical marginals must be a nonempty vector",
+    ),
+    "kl_divergence-negative": (
+        lambda: qc.kl_divergence([1.5, -0.5], [0.5, 0.5]),
+        qc.ValidationError,
+        "physical marginals must be finite and nonnegative",
+    ),
+    "kl_divergence-lengths": (
+        lambda: qc.kl_divergence([1.0], [0.5, 0.5]),
+        qc.DimensionMismatchError,
+        "marginal vectors differ in length",
+    ),
+    "solve_multiplier-discount": (
+        lambda: qc.solve_multiplier([(1.0, 1.0)], 1.0, 1.5, LOG),
+        qc.ValidationError,
+        "discount factor must lie in (0, 1], got 1.5",
+    ),
+    "rate_of_return-horizon": (
+        lambda: qc.rate_of_return(_mixed(2), _kernel(2), B2, [1.0, 1.0], 0),
+        qc.ValidationError,
+        "horizon must be positive, got 0.0",
+    ),
+    "rate_of_return-zero-price": (
+        lambda: qc.rate_of_return(_mixed(2), _kernel(2), B2, [0, 0]),
+        qc.ValidationError,
+        "payout schedule has zero price; return undefined",
+    ),
+    "rate_of_return-zero-gross": (
+        lambda: qc.rate_of_return(_PURE, _kernel(2), B2, [0, 1]),
+        qc.ValidationError,
+        "gross return must be positive for rate decomposition",
+    ),
+    "claim_combine": (
+        lambda: qc.claim_combine(1.0, qc.discount_bond(2), 1.0, qc.discount_bond(3)),
+        qc.DimensionMismatchError,
+        "claims of dimension 2 and 3",
+    ),
+    "check_axioms-state": (
+        lambda: qc.check_axioms(_kernel(2), _mixed(3), []),
+        qc.DimensionMismatchError,
+        "dimension-3 state against a dimension-2 kernel",
+    ),
+    "check_axioms-claim": (
+        lambda: qc.check_axioms(_kernel(2), _mixed(2), [qc.discount_bond(3)]),
+        qc.DimensionMismatchError,
+        "sample claim 0 has dimension 3, expected 2",
+    ),
+    "calibrate-bond-price": (
+        lambda: qc.calibrate(2, 1.5, []),
+        qc.ValidationError,
+        "bond price must lie in (0, 1], got 1.5",
+    ),
+    "calibrate-quote": (
+        lambda: qc.calibrate(2, 1.0, [(qc.discount_bond(3), 1.0)]),
+        qc.DimensionMismatchError,
+        "quote 0: claim dimension 3, expected 2",
+    ),
+    "from_spectrum": (
+        lambda: qc.from_spectrum([1.0, 2.0, 3.0], B2),
+        qc.DimensionMismatchError,
+        "3 eigenvalues for a dimension-2 basis",
+    ),
+    "born_probability": (
+        lambda: qc.born_probability(_mixed(2), [1.0, 0.0, 0.0]),
+        qc.DimensionMismatchError,
+        "vector of length 3 against a dimension-2 state",
+    ),
+    "absolutely_continuous": (
+        lambda: qc.absolutely_continuous(_mixed(2), _mixed(4)),
+        qc.DimensionMismatchError,
+        "states of dimension 2 and 4",
+    ),
+    "partial_trace": (
+        lambda: qc.partial_trace(qc.HermitianOperator(np.eye(4)), (2, 2), "third"),
+        qc.ValidationError,
+        'keep must be "first" or "second", got \'third\'',
+    ),
+    "separable_mixture": (
+        lambda: qc.separable_mixture([(0.5, _mixed(2), _mixed(2)), (0.5, _mixed(3), _mixed(2))]),
+        qc.DimensionMismatchError,
+        "component 1: factor dimensions (3, 2) differ from (2, 2)",
+    ),
+    "payout_covariance": (
+        lambda: qc.payout_covariance(
+            qc.TwoPartyState((2, 2), _mixed(4)),
+            qc.HermitianOperator(np.eye(3)),
+            qc.HermitianOperator(np.eye(2)),
+        ),
+        qc.DimensionMismatchError,
+        "observable dimensions (3, 2) differ from state dimensions (2, 2)",
+    ),
+    "KSSystem-empty": (
+        lambda: qc.KSSystem([], []),
+        qc.ValidationError,
+        "a system needs at least one ray and one tetrad",
+    ),
+    "KSSystem-ray": (
+        lambda: qc.KSSystem([(1, 0, 0, 0)], [qc.KSBasis((0, 1, 2, 3))]),
+        qc.ValidationError,
+        "expected KSRay, got tuple",
+    ),
+    "KSSystem-tetrad": (
+        lambda: qc.KSSystem([qc.KSRay(0, (1, 0, 0, 0))], [(0, 1, 2, 3)]),
+        qc.ValidationError,
+        "expected KSBasis, got tuple",
+    ),
+    "ContractMenu-kernel": (
+        lambda: qc.ContractMenu(qc.cabello_system(), [[1, 2, 3, 4]] * 9, _mixed(4), _kernel(2)),
+        qc.DimensionMismatchError,
+        "menu kernel must have dimension 4, got 2",
+    ),
+    "Tolerances.scaled": (
+        lambda: TOL.scaled(0),
+        qc.ValidationError,
+        "tolerance scale must be positive, got 0.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("gate", GATE_MESSAGES)
+def test_each_gate_raises_its_class_and_message(gate):
+    call, error, message = GATE_MESSAGES[gate]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_an_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "reports"
+    out.mkdir()
+    assert cli.run("price", str(GOLDEN / "price.scenario.json"), out_path=str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "validation" and error["message"].startswith("cannot write report: ")
+    assert str(out) in error["message"]
 
 
 def _calibrated(price):
@@ -534,10 +681,7 @@ def _copies_of_a_rule(applies, owners: set) -> list:
 # The report renderer converts and checks the values it writes out: an output rule, with its
 # own message, not a copy of the rule for arguments.
 SCALAR_RULE_OWNERS = {"errors.py finite_real", "serialization.py _render"}
-# The log utility's ``marginal`` and ``inverse_marginal`` are arithmetic on payouts and
-# slopes (``1 / x``), converted so that a scalar or list divides as an array does, as
-# ``np.power`` in the power branch already does; they gate nothing.
-ARRAY_RULE_OWNERS = {"errors.py numeric_array", "investment.py marginal", "investment.py inverse_marginal"}
+ARRAY_RULE_OWNERS = {"errors.py numeric_array"}
 
 
 def test_the_scalar_rule_has_one_owner():

@@ -309,16 +309,21 @@ def test_ks_table_rows_match_the_written_format(tmp_path, capsys):
     assert lines[: len(table)] == table and len(lines) == len(table) + 4
 
 
-def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
-    document = price_scenario()
-    document["payload"]["p"][0][0][0] = 0.8005  # trace off by 5e-4
-    path = write_scenario(tmp_path, document)
-    assert cli.run("price", path) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("QCLAIM_TOL_SCALE", "1e6")
-    assert cli.run("price", path) == 0
+def test_the_tolerance_scale_variable_changes_nothing(tmp_path, capsys, monkeypatch):
+    # The CLI applies the library's default tolerances whatever the environment holds.
+    off_trace = price_scenario()
+    off_trace["payload"]["p"][0][0][0] = 0.8005  # trace off by 5e-4
+    negative = price_scenario()
+    negative["payload"]["p"] = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+    monkeypatch.setenv("QCLAIM_TOL_SCALE", "1e9")
+    assert cli.run("price", write_scenario(tmp_path, off_trace)) == 2
+    assert single_error_record(capsys)["message"] == "payload.p: state trace must be 1, got 1.0005"
+    assert cli.run("price", write_scenario(tmp_path, negative)) == 2
+    assert single_error_record(capsys)["message"] == (
+        "payload.p: state is not positive semidefinite: smallest eigenvalue -5.000e-01"
+    )
     monkeypatch.setenv("QCLAIM_TOL_SCALE", "banana")
-    assert cli.run("price", path) == 2
+    assert cli.run("price", str(GOLDEN / "price.scenario.json")) == 0
 
 
 def test_console_entry_point(tmp_path):
@@ -561,7 +566,7 @@ def test_overflowing_basis_exits_2_without_numpy_warnings(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     record = single_error_record(capsys)
     assert record["type"] == "validation"
-    assert record["message"].startswith("basis vectors are not orthonormal")
+    assert record["message"].startswith("payload.claim.basis: basis vectors are not orthonormal")
 
 
 def test_overlong_integer_literal_exits_2(tmp_path, capsys):
@@ -609,6 +614,9 @@ def _set(path, value):
     return edit
 
 
+NOT_HERMITIAN = "HermitianOperator is not Hermitian: max |A - A^dagger| = 5.000e-01"
+
+
 @pytest.mark.parametrize(
     "kind, edit, message",
     [
@@ -627,6 +635,26 @@ def _set(path, value):
             _set(["system"], {"rays": [[1, 0, 0, 0]], "bases": []}),
             "payload.system.bases must be a nonempty array",
         ),
+        # A constructor's rejection, led by the payload path of the input it checked; two
+        # inputs checked by the same constructor give two messages.
+        ("price", _set(["p", 0, 0], [0.7, 0.0]), "payload.p: state trace must be 1, got 0.9"),
+        (
+            "price",
+            _set(["kernel", "q", 0, 0], [0.4, 0.0]),
+            "payload.kernel.q: state trace must be 1, got 0.9",
+        ),
+        ("portfolio", _set(["U", 0, 1], [0.5, 0.0]), f"payload.U: {NOT_HERMITIAN}"),
+        ("portfolio", _set(["V", 0, 1], [0.5, 0.0]), f"payload.V: {NOT_HERMITIAN}"),
+        (
+            "optimize",
+            _set(["utility"], {"kind": "exp"}),
+            """payload.utility: utility kind must be "log" or "power", got 'exp'""",
+        ),
+        (
+            "optimize",
+            _set(["utility"], {"kind": "power"}),
+            "payload.utility: power utility exponent must be a number, got None",
+        ),
     ],
     ids=[
         "dims-one-element",
@@ -636,6 +664,12 @@ def _set(path, value):
         "claim-payouts-scalar",
         "ks-no-rays",
         "ks-no-bases",
+        "p-trace",
+        "q-trace",
+        "U-not-hermitian",
+        "V-not-hermitian",
+        "utility-kind",
+        "power-no-p",
     ],
 )
 def test_decoder_shape_rejections(kind, edit, message, tmp_path, capsys):

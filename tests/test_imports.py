@@ -4,8 +4,9 @@ The ``ks`` subcommand is integer arithmetic, so a process that imports the
 CLI and runs it must not load numpy or the numeric modules.  The package
 resolves every other public name on first access; these tests pin the
 exported names, each bound to the object its submodule defines, and the
-README's table of modules.  Fresh interpreters run the import checks,
-since the test process itself has long since loaded everything.
+README's table of modules, and keep every module from reading the process
+environment.  Fresh interpreters run the import checks, since the test
+process itself has long since loaded everything.
 """
 
 import ast
@@ -106,7 +107,7 @@ EXPORTS = {
         "subsystem_marginal",
         "tensor_product",
     ),
-    "tolerances": ("DEFAULT_TOLERANCES", "Tolerances", "tolerances_from_env"),
+    "tolerances": ("DEFAULT_TOLERANCES", "Tolerances"),
 }
 EXPORTED = sorted({name for names in EXPORTS.values() for name in names} | EXPORTS.keys())
 
@@ -281,3 +282,22 @@ def test_every_module_import_is_used():
             if name not in used
         ]
     assert unused == []
+
+
+_ENVIRONMENT = ("environ", "environb", "getenv")
+
+
+def test_no_module_reads_the_environment():
+    # A report is a function of the arguments and the scenario bytes alone, so no module
+    # reads ``os.environ``, ``os.environb`` or ``os.getenv``, nor imports them from ``os``.
+    reads = []
+    for path in sorted((SRC / "qclaim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                names = [node.attr]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno} os.{name}" for name in names if name in _ENVIRONMENT]
+    assert reads == []

@@ -110,12 +110,17 @@ def test_utility_decoding():
     assert utility_from_json({"kind": "log"}, "u").kind == "log"
     power = utility_from_json({"kind": "power", "p": 0.5}, "u")
     assert power.exponent == 0.5
-    with pytest.raises(qc.ValidationError):
-        utility_from_json({"kind": "log", "p": 2.0}, "u")
-    with pytest.raises(qc.ValidationError):
-        utility_from_json({"kind": "power"}, "u")
-    with pytest.raises(qc.ValidationError):
-        utility_from_json({"kind": "sqrt"}, "u")
+    # ``UtilityFunction`` owns the kind and exponent rules; the decoder names the input.
+    rejected = {
+        "u: log utility takes no exponent": {"kind": "log", "p": 2.0},
+        "u: power utility exponent must be a number, got None": {"kind": "power"},
+        """u: utility kind must be "log" or "power", got 'sqrt'""": {"kind": "sqrt"},
+        "u.p must be a number, got 'x'": {"kind": "power", "p": "x"},
+    }
+    for message, obj in rejected.items():
+        with pytest.raises(qc.ValidationError) as caught:
+            utility_from_json(obj, "u")
+        assert str(caught.value) == message
 
 
 # Cabello's 18 rays and 9 tetrads, as ``cabello_system`` builds them.
