@@ -55,7 +55,6 @@ _EXPORTS = {
         "parity_certificate",
         "search_colourings",
         "structure_diagnostics",
-        "verify_structure",
     ),
     "portfolio": (
         "CorrelationReport",
@@ -90,14 +89,11 @@ _EXPORTS = {
         "Spectrum",
         "absolutely_continuous",
         "basis_marginals",
-        "born_probability",
         "eigendecompose",
         "equivalent_states",
         "from_spectrum",
-        "partial_trace",
         "standard_basis",
         "subsystem_marginal",
-        "tensor_product",
     ),
 }
 _MODULE_OF = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}

@@ -30,6 +30,7 @@ from .kochen_specker import (
     structure_diagnostics,
 )
 from .serialization import (
+    _checked,
     basis_from_json,
     claim_from_json,
     density_from_json,
@@ -308,7 +309,7 @@ def _portfolio(*, dims, rho, U, V, theta, kernel=None):
         portfolio_price,
     )
 
-    state = TwoPartyState(dims, rho)
+    state = _checked(TwoPartyState, "payload.dims", dims, rho)
     observable = portfolio_observable(U, V, theta)
     expected = portfolio_expected_payout(state, observable)
     physical = payout_covariance(state, U, V, "physical")
@@ -319,7 +320,7 @@ def _portfolio(*, dims, rho, U, V, theta, kernel=None):
         "ppt": is_ppt(state),
     }
     if kernel is not None:
-        results["price"] = portfolio_price(kernel, observable)
+        results["price"] = _checked(portfolio_price, "payload.kernel.q", kernel, observable)
         pricing = payout_covariance(TwoPartyState(dims, kernel.q), U, V, "pricing")
         results["pricing_leg_means"] = list(pricing.marginal_means)
         results["pricing_covariance"] = pricing.covariance

@@ -83,13 +83,6 @@ class KSRay:
             )
         object.__setattr__(self, "components", ints)
 
-    def dot(self, other: "KSRay") -> int:
-        a, b = self.components, other.components
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-    def norm_squared(self) -> int:
-        return self.dot(self)
-
 
 @dataclass(frozen=True)
 class KSBasis:
@@ -123,9 +116,9 @@ class KSSystem:
     Construction checks only well-formedness: resolvable distinct ids, and
     rays distinct as directions, so no ray is a nonzero multiple of another
     (both would be one projector).  Whether the tetrads are genuinely
-    orthogonal is the job of verify_structure, so defective systems can be
-    built and examined.  How many tetrads hold each ray is a precondition
-    of parity_certificate, not of soundness.
+    orthogonal is the job of structure_diagnostics, so defective systems
+    can be built and examined.  How many tetrads hold each ray is a
+    precondition of parity_certificate, not of soundness.
     """
 
     __slots__ = ("rays", "bases", "_by_id", "_incidence")
@@ -218,11 +211,6 @@ def structure_diagnostics(system: KSSystem) -> list[str]:
             if product:
                 problems.append(f"tetrad {b}: rays {ids[i]} and {ids[j]} have dot product {product}")
     return problems
-
-
-def verify_structure(system: KSSystem) -> bool:
-    """True iff every tetrad is an orthogonal basis of 4-space."""
-    return not structure_diagnostics(system)
 
 
 def search_colourings(system: KSSystem) -> tuple[int, list[int] | None]:

@@ -17,13 +17,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import DimensionMismatchError, NumericalError, ValidationError, bounded_int, finite_real
 from .pricing import PricingKernel
-from .quantum import (
-    DensityMatrix,
-    HermitianOperator,
-    _trusted,
-    partial_trace,
-    subsystem_marginal,
-)
+from .quantum import DensityMatrix, HermitianOperator, _trusted, subsystem_marginal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = _EXPORTS["portfolio"]
@@ -45,10 +39,6 @@ class TwoPartyState:
         self.dims = (n, m)
         self.rho = rho
 
-    def marginal(self, which: str) -> DensityMatrix:
-        """Reduced state of the "first" or "second" subsystem."""
-        return _trusted(DensityMatrix, partial_trace(self.rho, self.dims, which).entries)
-
     def __repr__(self) -> str:
         return f"TwoPartyState(dims={self.dims})"
 
@@ -69,10 +59,6 @@ class PortfolioObservable:
     @property
     def dims(self) -> tuple[int, int]:
         return (self.first.dim, self.second.dim)
-
-    def as_operator(self) -> HermitianOperator:
-        """Materialize w1 * (first x id) + w2 * (id x second) on the joint space."""
-        return nparty_portfolio_operator((self.first, self.second), self.weights)
 
 
 @dataclass(frozen=True)
@@ -200,8 +186,8 @@ def payout_covariance(
         raise DimensionMismatchError(
             f"observable dimensions {(first.dim, second.dim)} differ from state dimensions {state.dims}"
         )
-    reduced_first = partial_trace(state.rho, state.dims, "first")
-    reduced_second = partial_trace(state.rho, state.dims, "second")
+    reduced_first = subsystem_marginal(state.rho, state.dims, 0)
+    reduced_second = subsystem_marginal(state.rho, state.dims, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing legs end in the finite check
         mean_first = _real_trace_product(reduced_first.entries, first.entries)
         mean_second = _real_trace_product(reduced_second.entries, second.entries)

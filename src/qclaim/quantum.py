@@ -70,9 +70,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> float:
-        return float(self.entries.trace().real)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -208,22 +205,6 @@ def _probabilities(values: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def born_probability(
-    state: DensityMatrix, vector, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Probability <v|state|v> of the outcome along a unit vector ``v``."""
-    v = numeric_array(vector, "outcome vector", ndim=1, dtype=complex)
-    if v.shape[0] != state.dim:
-        raise DimensionMismatchError(
-            f"vector of length {v.size} against a dimension-{state.dim} state"
-        )
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= tol.orthonormality:
-        _require_finite(v, "outcome vector")
-        raise ValidationError(f"outcome vector is not normalized: |v| = {norm:.12g}")
-    return float(_probabilities(_quadratic_forms(state.entries, v[None, :]), tol)[0])
-
-
 def basis_marginals(
     state: DensityMatrix, basis: MeasurementBasis, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
@@ -260,20 +241,6 @@ def equivalent_states(
 ) -> bool:
     """True iff the two states share a null space (agree on impossible events)."""
     return absolutely_continuous(a, b, tol=tol) and absolutely_continuous(b, a, tol=tol)
-
-
-def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product; row (j, j') of the result is index j * b.dim + j'."""
-    return _trusted(HermitianOperator, np.kron(a.entries, b.entries))
-
-
-def partial_trace(operator: HermitianOperator, dims: tuple[int, int], keep: str) -> HermitianOperator:
-    """Trace out one factor of a bipartite operator, keeping "first" or "second"."""
-    if len(dims) != 2:
-        raise ValidationError(f"factor dimensions must be a pair, got {dims!r}")
-    if keep not in ("first", "second"):
-        raise ValidationError(f'keep must be "first" or "second", got {keep!r}')
-    return subsystem_marginal(operator, dims, 0 if keep == "first" else 1)
 
 
 def subsystem_marginal(

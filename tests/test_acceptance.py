@@ -26,12 +26,12 @@ def test_criterion_1_no_classical_assignment():
     system = qc.cabello_system()
     orthogonal_pairs = 0
     for basis in system.bases:
-        members = [system.ray(rid) for rid in basis.ray_ids]
+        members = [system.ray(rid).components for rid in basis.ray_ids]
         for i in range(4):
             for j in range(i + 1, 4):
-                if members[i].dot(members[j]) == 0:
+                if sum(x * y for x, y in zip(members[i], members[j])) == 0:
                     orthogonal_pairs += 1
-    complete = qc.verify_structure(system)  # pairwise orthogonal, hence complete
+    complete = qc.structure_diagnostics(system) == []  # pairwise orthogonal, hence complete
     count, witness = qc.search_colourings(system)
     parity = qc.parity_certificate(system)
     elapsed = time.perf_counter() - started
@@ -207,18 +207,18 @@ def test_criterion_7_portfolio_additivity_and_correlation():
         position = qc.portfolio_observable(
             random_hermitian(rng, n), random_hermitian(rng, m), tuple(rng.normal(size=2))
         )
-        joint = float(
-            np.real(np.trace(state.rho.entries @ position.as_operator().entries))
+        operator = qc.nparty_portfolio_operator(
+            (position.first, position.second), position.weights
         )
+        joint = float(np.real(np.trace(state.rho.entries @ operator.entries)))
         split = qc.portfolio_expected_payout(state, position)
         worst_split = max(worst_split, abs(joint - split) / max(1.0, abs(joint)))
         discount = rng.uniform(0.2, 1.0)
         kernel = qc.PricingKernel(discount, state.rho)
+        first, second = (qc.subsystem_marginal(state.rho, state.dims, k) for k in (0, 1))
         legs = discount * (
-            position.weights[0]
-            * float(np.real(np.trace(state.marginal("first").entries @ position.first.entries)))
-            + position.weights[1]
-            * float(np.real(np.trace(state.marginal("second").entries @ position.second.entries)))
+            position.weights[0] * float(np.real(np.trace(first.entries @ position.first.entries)))
+            + position.weights[1] * float(np.real(np.trace(second.entries @ position.second.entries)))
         )
         gap = abs(qc.portfolio_price(kernel, position) - legs)
         worst_price = max(worst_price, gap / max(1.0, abs(legs)))

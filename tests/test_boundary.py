@@ -44,8 +44,7 @@ def test_spectral_values_pass_the_gates(n):
     qc.HermitianOperator(qc.from_spectrum(rng.normal(size=n), basis).entries)
     qc.HermitianOperator(claim.as_operator().entries)
     legs = [random_hermitian(rng, n), random_hermitian(rng, 3)]
-    qc.HermitianOperator(qc.tensor_product(*legs).entries)
-    qc.HermitianOperator(qc.portfolio_observable(*legs, (2.0, -0.5)).as_operator().entries)
+    qc.HermitianOperator(qc.nparty_portfolio_operator(legs, [2.0, -0.5]).entries)
     qc.HermitianOperator(qc.nparty_portfolio_operator(legs + legs[:1], [2.0, -0.5, 1.0]).entries)
 
 
@@ -66,9 +65,9 @@ def test_combined_claim_reproduces_the_weighted_sum(n):
 def test_reduced_and_evolved_states_pass_the_gate(n):
     rng = np.random.default_rng(300 + n)
     rho = random_density(rng, 2 * n)
-    for keep in ("first", "second"):
-        qc.DensityMatrix(qc.partial_trace(rho, (n, 2), keep).entries)
-        qc.DensityMatrix(qc.TwoPartyState((2, n), rho).marginal(keep).entries)
+    for dims in ((n, 2), (2, n)):
+        for index in (0, 1):
+            qc.DensityMatrix(qc.subsystem_marginal(rho, dims, index).entries)
     triple = random_density(rng, 6 * n)
     for index in range(3):
         qc.DensityMatrix(qc.subsystem_marginal(triple, (2, n, 3), index).entries)
@@ -87,7 +86,7 @@ def test_menu_probabilities_are_ray_born_weights():
         for value, rid in zip(row, basis.ray_ids):
             ray = system.ray(rid)
             v = np.array(ray.components, dtype=complex)
-            expected = float(np.real(v.conj() @ state.entries @ v)) / ray.norm_squared()
+            expected = float(np.real(v.conj() @ state.entries @ v)) / sum(c * c for c in ray.components)
             assert value == pytest.approx(expected, abs=1e-14)
 
 
@@ -126,7 +125,7 @@ def test_derived_values_skip_the_gates(constructions):
     qc.claim_combine(1.0, claims[0], 2.0, claims[1])
     qc.eigendecompose(operator)
     qc.from_spectrum(np.arange(n, dtype=float), basis)
-    qc.partial_trace(joint, (n, 2), "second")
+    qc.subsystem_marginal(joint, (n, 2), 1)
     assert constructions == []
 
 
@@ -291,20 +290,15 @@ GATE_MESSAGES = {
         qc.DimensionMismatchError,
         "3 eigenvalues for a dimension-2 basis",
     ),
-    "born_probability": (
-        lambda: qc.born_probability(_mixed(2), [1.0, 0.0, 0.0]),
+    "basis_marginals": (
+        lambda: qc.basis_marginals(_mixed(2), qc.standard_basis(3)),
         qc.DimensionMismatchError,
-        "vector of length 3 against a dimension-2 state",
+        "dimension-3 basis against a dimension-2 state",
     ),
     "absolutely_continuous": (
         lambda: qc.absolutely_continuous(_mixed(2), _mixed(4)),
         qc.DimensionMismatchError,
         "states of dimension 2 and 4",
-    ),
-    "partial_trace": (
-        lambda: qc.partial_trace(qc.HermitianOperator(np.eye(4)), (2, 2), "third"),
-        qc.ValidationError,
-        'keep must be "first" or "second", got \'third\'',
     ),
     "separable_mixture": (
         lambda: qc.separable_mixture([(0.5, _mixed(2), _mixed(2)), (0.5, _mixed(3), _mixed(2))]),
@@ -319,6 +313,11 @@ GATE_MESSAGES = {
         ),
         qc.DimensionMismatchError,
         "observable dimensions (3, 2) differ from state dimensions (2, 2)",
+    ),
+    "nparty_portfolio_operator": (
+        lambda: qc.nparty_portfolio_operator([qc.HermitianOperator(np.eye(2))], [1.0, 2.0]),
+        qc.ValidationError,
+        "need one weight per operator, at least one of each",
     ),
     "KSSystem-empty": (
         lambda: qc.KSSystem([], []),
@@ -496,7 +495,6 @@ COMPLEX_SITES = {
     "HermitianOperator": (lambda x: qc.HermitianOperator(x).entries, [[1, 0], [0, 2]]),
     "DensityMatrix": (lambda x: qc.DensityMatrix(x).entries, [[1, 0], [0, 0]]),
     "MeasurementBasis": (lambda x: qc.MeasurementBasis(x).vectors, [[0, 1], [1, 0]]),
-    "born_probability": (lambda x: qc.born_probability(_mixed(2), x), [1, 0]),
 }
 WIRE_BASIS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 # The JSON decoders, which see only what a document can carry.

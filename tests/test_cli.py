@@ -615,6 +615,8 @@ def _set(path, value):
 
 
 NOT_HERMITIAN = "HermitianOperator is not Hermitian: max |A - A^dagger| = 5.000e-01"
+# A 3 x 3 diagonal state, as a scenario matrix of [re, im] pairs.
+STATE_3 = [[[w if i == j else 0.0, 0.0] for j in range(3)] for i, w in enumerate((0.25, 0.5, 0.25))]
 
 
 @pytest.mark.parametrize(
@@ -655,6 +657,23 @@ NOT_HERMITIAN = "HermitianOperator is not Hermitian: max |A - A^dagger| = 5.000e
             _set(["utility"], {"kind": "power"}),
             "payload.utility: power utility exponent must be a number, got None",
         ),
+        # Checks the computation makes after decoding, pairing two inputs, name the one the
+        # message is about.
+        (
+            "portfolio",
+            _set(["dims"], [2, 3]),
+            "payload.dims: subsystem dimensions 2x3 do not compose to state dimension 4",
+        ),
+        (
+            "portfolio",
+            _set(["dims"], [0, 4]),
+            f"payload.dims: subsystem dimension must lie in [1, {qclaim.errors.MAX_SIZE}], got 0",
+        ),
+        (
+            "portfolio",
+            _set(["kernel", "q"], STATE_3),
+            "payload.kernel.q: state dimension 3 does not match joint dimension 4",
+        ),
     ],
     ids=[
         "dims-one-element",
@@ -670,6 +689,9 @@ NOT_HERMITIAN = "HermitianOperator is not Hermitian: max |A - A^dagger| = 5.000e
         "V-not-hermitian",
         "utility-kind",
         "power-no-p",
+        "dims-do-not-compose",
+        "dims-zero",
+        "kernel-q-dimension",
     ],
 )
 def test_decoder_shape_rejections(kind, edit, message, tmp_path, capsys):

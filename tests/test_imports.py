@@ -3,9 +3,9 @@
 The ``ks`` subcommand is integer arithmetic, so a process that imports the
 CLI and runs it must not load numpy or the numeric modules.  The package
 resolves every other public name on first access; these tests pin the
-exported names, each bound to the object its submodule defines, and the
-README's table of modules, and keep every module from reading the process
-environment.  Fresh interpreters run the import checks, since the test
+exported names, each bound to the object its submodule defines and each
+named by a caller outside the unit tests, and the README's table of
+modules, and keep every module from reading the process environment.  Fresh interpreters run the import checks, since the test
 process itself has long since loaded everything.
 """
 
@@ -22,8 +22,9 @@ import pytest
 import qclaim
 
 SRC = Path(qclaim.__file__).parents[1]
+REPO = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
-README = Path(__file__).parents[1] / "README.md"
+README = REPO / "README.md"
 
 NUMERIC = ("numpy", "qclaim.quantum", "qclaim.pricing", "qclaim.investment", "qclaim.portfolio")
 
@@ -63,7 +64,6 @@ EXPORTS = {
         "parity_certificate",
         "search_colourings",
         "structure_diagnostics",
-        "verify_structure",
     ),
     "portfolio": (
         "CorrelationReport",
@@ -98,14 +98,11 @@ EXPORTS = {
         "Spectrum",
         "absolutely_continuous",
         "basis_marginals",
-        "born_probability",
         "eigendecompose",
         "equivalent_states",
         "from_spectrum",
-        "partial_trace",
         "standard_basis",
         "subsystem_marginal",
-        "tensor_product",
     ),
     "tolerances": ("DEFAULT_TOLERANCES", "Tolerances"),
 }
@@ -211,6 +208,28 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         qclaim.not_a_name
     assert not hasattr(qclaim, "np")
+
+
+# Exports that nothing reaches yet, each kept for a planned caller: the properties of
+# correlation claims (ROADMAP item 8) build their states with these two.
+AWAITING_A_CALLER = {"product_state", "separable_mixture"}
+
+
+def test_every_export_has_a_caller_or_a_property():
+    # An export stays when another module, a benchmark workload or a property test of
+    # the paper's identities names it; a name only the unit tests reach restates a call.
+    callers = [path for path in (SRC / "qclaim").glob("*.py") if path.stem != "__init__"]
+    callers += [REPO / "perfbench" / "workloads.py", REPO / "perfbench" / "sweep.py"]
+    callers.append(Path(__file__).parent / "test_properties.py")
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    exported = {name for names in qclaim._EXPORTS.values() for name in names}
+    assert sorted(exported - named) == sorted(AWAITING_A_CALLER)
 
 
 def test_readme_library_layout_lists_every_module():

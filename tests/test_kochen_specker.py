@@ -16,9 +16,7 @@ def ray7_state():
 
 
 def test_ray_validation():
-    ray = qc.KSRay(0, (1, 0, -1, 0))
-    assert ray.norm_squared() == 2
-    assert ray.dot(qc.KSRay(1, (1, 0, 1, 0))) == 0
+    assert qc.KSRay(0, (1, 0, -1, 0)).components == (1, 0, -1, 0)
     with pytest.raises(qc.ValidationError):
         qc.KSRay(-1, (1, 0, 0, 0))
     with pytest.raises(qc.ValidationError):
@@ -27,7 +25,7 @@ def test_ray_validation():
         qc.KSRay(0, (1, 0, 0))
     with pytest.raises(qc.ValidationError):
         qc.KSRay(0, (True, False, False, False))
-    assert qc.KSRay(0, (2**20, -(2**20), 0, 1)).norm_squared() == 2**41 + 1
+    assert qc.KSRay(0, (2**20, -(2**20), 0, 1)).components == (2**20, -(2**20), 0, 1)
     for big in (2**20 + 1, -(2**20) - 1, 3037000500, 10**400):
         with pytest.raises(qc.ValidationError, match=r"\|c\| <= 2\*\*20"):
             qc.KSRay(0, (1, 0, big, 0))
@@ -97,7 +95,6 @@ def test_embedded_system_shape():
 def test_embedded_system_structure():
     system = qc.cabello_system()
     assert qc.structure_diagnostics(system) == []
-    assert qc.verify_structure(system)
 
 
 def broken_sign_system():
@@ -113,7 +110,6 @@ def broken_sign_system():
 def test_single_sign_flip_breaks_structure():
     system = broken_sign_system()
     problems = qc.structure_diagnostics(system)
-    assert not qc.verify_structure(system)
     assert any("dot product" in p for p in problems)
     with pytest.raises(qc.ValidationError, match="exactly two"):
         qc.parity_certificate(system)
@@ -124,7 +120,7 @@ def test_duplicated_tetrad_is_sound_but_uncertified():
     # incidence precondition fails.
     system = qc.cabello_system()
     doubled = qc.KSSystem(system.rays, list(system.bases) + [system.bases[0]])
-    assert qc.verify_structure(doubled)
+    assert qc.structure_diagnostics(doubled) == []
     with pytest.raises(qc.ValidationError):
         qc.parity_certificate(doubled)
 
@@ -310,7 +306,10 @@ def peres_system():
     bases = [
         qc.KSBasis(tuple(r.ray_id for r in quad))
         for quad in itertools.combinations(rays, 4)
-        if all(a.dot(b) == 0 for a, b in itertools.combinations(quad, 2))
+        if all(
+            sum(x * y for x, y in zip(a.components, b.components)) == 0
+            for a, b in itertools.combinations(quad, 2)
+        )
     ]
     return qc.KSSystem(rays, bases)
 

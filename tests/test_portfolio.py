@@ -26,8 +26,9 @@ def test_two_party_state_needs_a_dimension_pair(dims):
 
 def test_bell_marginals_are_maximally_mixed():
     bell = qc.TwoPartyState((2, 2), bell_state())
-    for which in ("first", "second"):
-        assert np.allclose(bell.marginal(which).entries, np.eye(2) / 2.0, atol=1e-14)
+    for index in (0, 1):
+        reduced = qc.subsystem_marginal(bell.rho, bell.dims, index)
+        assert np.allclose(reduced.entries, np.eye(2) / 2.0, atol=1e-14)
 
 
 def test_product_state_recovers_factors():
@@ -36,8 +37,9 @@ def test_product_state_recovers_factors():
     b = random_density(rng, 3)
     joint = qc.product_state(a, b)
     assert joint.dims == (2, 3)
-    assert np.allclose(joint.marginal("first").entries, a.entries, atol=1e-12)
-    assert np.allclose(joint.marginal("second").entries, b.entries, atol=1e-12)
+    for index, factor in enumerate((a, b)):
+        reduced = qc.subsystem_marginal(joint.rho, joint.dims, index)
+        assert np.allclose(reduced.entries, factor.entries, atol=1e-12)
 
 
 def test_separable_mixture_weights():
@@ -94,12 +96,22 @@ def test_product_states_are_ppt():
         assert qc.is_ppt(joint)
 
 
+def test_portfolio_operator_orders_the_first_factor_slowest():
+    # Joint index j * second.dim + j', as np.kron lays out first x second.
+    sz = diag_op(0.5, -0.5)
+    legs = (sz, qc.HermitianOperator([[3.0, 1.0], [1.0, 4.0]]))
+    first_only = qc.nparty_portfolio_operator(legs, (1.0, 0.0)).entries
+    assert np.array_equal(first_only, np.diag([0.5, 0.5, -0.5, -0.5]))
+    second_only = qc.nparty_portfolio_operator(legs, (0.0, 1.0)).entries
+    assert np.array_equal(second_only, np.kron(np.eye(2), legs[1].entries))
+    assert second_only[0, 1] == second_only[2, 3] == 1.0 and second_only[0, 3] == 0.0
+
+
 def test_portfolio_operator_has_kronecker_sum_spectrum():
-    position = qc.portfolio_observable(diag_op(1.0, 2.0), diag_op(10.0, 20.0), (1.0, 1.0))
-    values = np.linalg.eigvalsh(position.as_operator().entries)
+    legs = (diag_op(1.0, 2.0), diag_op(10.0, 20.0))
+    values = np.linalg.eigvalsh(qc.nparty_portfolio_operator(legs, (1.0, 1.0)).entries)
     assert np.allclose(sorted(values), [11.0, 12.0, 21.0, 22.0])
-    short = qc.portfolio_observable(diag_op(1.0, 2.0), diag_op(10.0, 20.0), (2.0, -1.0))
-    values = np.linalg.eigvalsh(short.as_operator().entries)
+    values = np.linalg.eigvalsh(qc.nparty_portfolio_operator(legs, (2.0, -1.0)).entries)
     assert np.allclose(sorted(values), [-18.0, -16.0, -8.0, -6.0])
 
 
@@ -126,11 +138,10 @@ def test_expected_payout_splits_across_marginals():
             random_hermitian(rng, n), random_hermitian(rng, m), tuple(rng.normal(size=2))
         )
         got = qc.portfolio_expected_payout(state, position)
+        first, second = (qc.subsystem_marginal(state.rho, state.dims, k) for k in (0, 1))
         legs = (
-            position.weights[0]
-            * float(np.real(np.trace(state.marginal("first").entries @ position.first.entries)))
-            + position.weights[1]
-            * float(np.real(np.trace(state.marginal("second").entries @ position.second.entries)))
+            position.weights[0] * float(np.real(np.trace(first.entries @ position.first.entries)))
+            + position.weights[1] * float(np.real(np.trace(second.entries @ position.second.entries)))
         )
         assert got == pytest.approx(legs, abs=1e-10)
 
@@ -149,8 +160,8 @@ def reference_two_party_payout(state, position, tol=qc.DEFAULT_TOLERANCES):
         return float(np.real(np.sum(a * b.T)))
 
     joint = trace_product(state.rho.entries, reference_two_party_operator(position))
-    first = qc.partial_trace(state.rho, state.dims, "first")
-    second = qc.partial_trace(state.rho, state.dims, "second")
+    first = qc.subsystem_marginal(state.rho, state.dims, 0)
+    second = qc.subsystem_marginal(state.rho, state.dims, 1)
     split = position.weights[0] * trace_product(
         first.entries, position.first.entries
     ) + position.weights[1] * trace_product(second.entries, position.second.entries)
@@ -172,7 +183,8 @@ def test_two_party_portfolio_is_the_two_leg_nparty_case():
         state = qc.TwoPartyState((n, m), random_density(rng, n * m))
         weights = tuple(0.0 if rng.random() < 0.15 else float(w) for w in rng.normal(size=2))
         position = qc.portfolio_observable(leg(n), leg(m), weights)
-        operator = position.as_operator().entries
+        legs = (position.first, position.second)
+        operator = qc.nparty_portfolio_operator(legs, position.weights).entries
         assert np.array_equal(operator, reference_two_party_operator(position))
         got = qc.portfolio_expected_payout(state, position)
         assert repr(got) == repr(reference_two_party_payout(state, position))
@@ -246,7 +258,7 @@ def test_nparty_operator_and_payout():
     weights = [1.0, -2.0, 0.5]
     joint = parts[0]
     for part in parts[1:]:
-        joint = qc.DensityMatrix(qc.tensor_product(joint, part).entries)
+        joint = qc.DensityMatrix(np.kron(joint.entries, part.entries))
     operator = qc.nparty_portfolio_operator(ops, weights)
     assert operator.dim == 8
     got = qc.nparty_expected_payout(joint, ops, weights)

@@ -68,26 +68,6 @@ def test_price_dimension_mismatch():
         qc.price(kernel, claim)
 
 
-def test_bond_prices_at_discount():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        kernel = qc.PricingKernel(rng.uniform(0.05, 1.0), random_density(rng, n))
-        bond = qc.discount_bond(n)
-        assert np.allclose(bond.as_operator().entries, np.eye(n))
-        assert qc.price(kernel, bond) == pytest.approx(kernel.discount, abs=1e-12)
-
-
-def test_unit_claim_prices_sum_to_discount():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        kernel = qc.PricingKernel(rng.uniform(0.1, 1.0), random_density(rng, n))
-        basis = random_basis(rng, n)
-        total = sum(qc.price(kernel, qc.arrow_debreu(basis, k)) for k in range(n))
-        assert total == pytest.approx(kernel.discount, abs=1e-12)
-
-
 def test_arrow_debreu_bounds():
     basis = qc.standard_basis(3)
     claim = qc.arrow_debreu(basis, 0)

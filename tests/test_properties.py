@@ -36,6 +36,66 @@ def test_calibration_round_trip(drawn):
 
 
 @st.composite
+def kernels_and_bases(draw):
+    """A pricing kernel of any rank and dimension n <= 6, and a measurement basis."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_density(rng, n, rank=draw(st.integers(1, n)))
+    return qc.PricingKernel(draw(st.floats(0.05, 1.0)), q), random_basis(rng, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernels_and_bases())
+def test_the_discount_bond_prices_at_the_discount_factor(drawn):
+    # The bond pays 1 on every outcome, so its operator is the identity and
+    # its price is P0T tr(q) = P0T.
+    kernel, _ = drawn
+    bond = qc.discount_bond(kernel.dim)
+    assert np.array_equal(bond.as_operator().entries, np.eye(kernel.dim))
+    assert abs(qc.price(kernel, bond) - kernel.discount) <= qc.DEFAULT_TOLERANCES.price
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernels_and_bases())
+def test_arrow_debreu_prices_are_the_discounted_outcome_weights(drawn):
+    # The claim paying 1 on outcome j of a basis prices at P0T <v_j|q|v_j>: the
+    # state prices are the discounted marginals of q, and they add up to the bond.
+    kernel, basis = drawn
+    tol = qc.DEFAULT_TOLERANCES
+    state_prices = np.array([qc.price(kernel, qc.arrow_debreu(basis, j)) for j in range(basis.dim)])
+    assert np.abs(state_prices - kernel.discount * qc.basis_marginals(kernel.q, basis)).max() <= tol.price
+    assert abs(state_prices.sum() - kernel.discount) <= tol.price
+
+
+@st.composite
+def positive_observables(draw):
+    """A pricing kernel and an observable X >= 0 with every eigenvalue at least 1e-3."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eigenvalues = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    frame = random_basis(rng, n).vectors
+    x = (frame.T * eigenvalues) @ frame.conj()
+    q = random_density(rng, n, rank=draw(st.integers(1, n)))
+    kernel = qc.PricingKernel(draw(st.floats(0.05, 1.0)), q)
+    return kernel, qc.HermitianOperator((x + x.conj().T) / 2.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(positive_observables())
+def test_a_claim_is_the_observable_whose_eigenvalues_are_its_payouts(drawn):
+    # X = sum_j lambda_j |v_j><v_j| is the claim paying lambda_j on outcome j of
+    # its eigenbasis: that claim prices at P0T tr(q X), and the spectrum rebuilds X.
+    kernel, observable = drawn
+    tol = qc.DEFAULT_TOLERANCES
+    spectrum = qc.eigendecompose(observable)
+    claim = qc.FinancialClaim(spectrum.basis, spectrum.eigenvalues)
+    want = kernel.discount * float(np.real(np.trace(kernel.q.entries @ observable.entries)))
+    assert abs(qc.price(kernel, claim) - want) <= tol.price
+    rebuilt = qc.from_spectrum(spectrum.eigenvalues, spectrum.basis)
+    assert np.abs(rebuilt.entries - observable.entries).max() <= tol.reconstruction
+
+
+@st.composite
 def budget_problems(draw):
     """Pricing weights, slope ratios, budget, discount and a utility."""
     n = draw(st.integers(1, 8))
@@ -185,6 +245,45 @@ def test_nparty_payout_is_additive_over_marginals(drawn):
     )
     got = qc.nparty_expected_payout(state, legs, weights)
     assert abs(got - want) <= qc.DEFAULT_TOLERANCES.additivity * max(1.0, abs(want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nparty_positions())
+def test_a_subsystem_marginal_is_the_partial_trace(drawn):
+    # rho_i = tr_{j != i} rho is the state of factor i alone: it passes the state gate.
+    state, legs, _ = drawn
+    dims = [leg.dim for leg in legs]
+    for i in range(len(dims)):
+        reduced = qc.subsystem_marginal(state, dims, i)
+        assert np.abs(reduced.entries - _reduced(state.entries, dims, i)).max() <= qc.DEFAULT_TOLERANCES.additivity
+        qc.DensityMatrix(reduced.entries)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nparty_positions().filter(lambda drawn: len(drawn[1]) == 2))
+def test_a_portfolio_prices_at_the_discounted_leg_prices(drawn):
+    # P0T tr(q (w1 X x id + w2 id x Y)) = P0T (w1 tr(q_1 X) + w2 tr(q_2 Y)), with q_i
+    # the marginals of the joint kernel state, entangled or not.
+    q, legs, weights = drawn
+    kernel = qc.PricingKernel(0.8, q)
+    position = qc.portfolio_observable(legs[0], legs[1], tuple(weights))
+    want = kernel.discount * sum(
+        w * float(np.real(np.trace(qc.subsystem_marginal(q, position.dims, i).entries @ leg.entries)))
+        for i, (w, leg) in enumerate(zip(weights, legs))
+    )
+    got = qc.portfolio_price(kernel, position)
+    assert abs(got - want) <= qc.DEFAULT_TOLERANCES.price * max(1.0, abs(want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernels_and_bases())
+def test_outcome_marginals_are_the_born_weights(drawn):
+    # Outcome j of a basis has probability <v_j|q|v_j>, and the outcomes exhaust the space.
+    kernel, basis = drawn
+    weights = np.real(np.einsum("ji,ik,jk->j", basis.vectors.conj(), kernel.q.entries, basis.vectors))
+    marginals = qc.basis_marginals(kernel.q, basis)
+    assert np.abs(marginals - weights).max() <= qc.DEFAULT_TOLERANCES.trace
+    assert abs(marginals.sum() - 1.0) <= qc.DEFAULT_TOLERANCES.trace
 
 
 @st.composite

@@ -10,7 +10,6 @@ from helpers import bell_state, random_basis, random_density, random_hermitian, 
 def test_hermitian_accepts_and_freezes():
     op = qc.HermitianOperator([[1.0, 2.0], [2.0, 1.0]])
     assert op.dim == 2
-    assert op.trace() == pytest.approx(2.0)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 5.0
 
@@ -129,20 +128,13 @@ def test_eigendecompose_round_trip(n):
         assert np.max(np.abs(rebuilt.entries - op.entries)) < 1e-10
 
 
-def test_born_probability_pure_cases():
-    plus = np.array([1.0, 1.0]) / 2.0**0.5
-    state = qc.DensityMatrix(np.outer(plus, plus))
-    assert qc.born_probability(state, plus) == pytest.approx(1.0)
-    circ = np.array([1.0, 1.0j]) / 2.0**0.5
-    assert qc.born_probability(state, circ) == pytest.approx(0.5)
-    minus = np.array([1.0, -1.0]) / 2.0**0.5
-    assert qc.born_probability(state, minus) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_born_probability_rejects_unnormalized():
-    state = qc.DensityMatrix(np.eye(2) / 2.0)
-    with pytest.raises(qc.ValidationError):
-        qc.born_probability(state, [1.0, -1.0])
+def test_basis_marginals_pure_cases():
+    s = 2.0**-0.5
+    state = qc.DensityMatrix(np.full((2, 2), 0.5))  # |+><+|
+    diagonal = qc.MeasurementBasis([[s, s], [s, -s]])
+    assert np.allclose(qc.basis_marginals(state, diagonal), [1.0, 0.0], atol=1e-15)
+    circular = qc.MeasurementBasis([[s, 1j * s], [s, -1j * s]])
+    assert np.allclose(qc.basis_marginals(state, circular), [0.5, 0.5], atol=1e-15)
 
 
 def test_marginals_form_distribution():
@@ -154,7 +146,7 @@ def test_marginals_form_distribution():
         prob = qc.basis_marginals(state, basis)
         assert prob.min() >= 0.0
         assert prob.sum() == pytest.approx(1.0, abs=1e-12)
-        single = [qc.born_probability(state, v) for v in basis.vectors]
+        single = [np.real(v.conj() @ state.entries @ v) for v in basis.vectors]
         assert np.allclose(prob, single, atol=1e-12)
 
 
@@ -177,38 +169,24 @@ def test_equivalence_on_shared_support():
         assert not qc.absolutely_continuous(a, full)
 
 
-def test_tensor_product_convention():
-    sz = qc.HermitianOperator(np.diag([0.5, -0.5]))
-    ident = qc.HermitianOperator(np.eye(2))
-    joint = qc.tensor_product(sz, ident)
-    assert np.allclose(joint.entries, np.diag([0.5, 0.5, -0.5, -0.5]))
-    # index (a, a') of the first factor varies slowest
-    a = qc.HermitianOperator([[1.0, 0.0], [0.0, 2.0]])
-    b = qc.HermitianOperator([[3.0, 1.0], [1.0, 4.0]])
-    joint = qc.tensor_product(a, b)
-    assert joint.entries[0, 1] == pytest.approx(1.0 * 1.0)
-    assert joint.entries[2, 3] == pytest.approx(2.0 * 1.0)
-
-
-def test_partial_trace_of_bell_state():
+def test_subsystem_marginals_of_bell_state():
     bell = bell_state()
-    left = qc.partial_trace(bell, (2, 2), keep="first")
-    right = qc.partial_trace(bell, (2, 2), keep="second")
-    assert np.allclose(left.entries, np.eye(2) / 2.0, atol=1e-14)
-    assert np.allclose(right.entries, np.eye(2) / 2.0, atol=1e-14)
+    for index in (0, 1):
+        reduced = qc.subsystem_marginal(bell, (2, 2), index)
+        assert np.allclose(reduced.entries, np.eye(2) / 2.0, atol=1e-14)
 
 
-def test_partial_trace_splits_products():
+def test_subsystem_marginal_splits_products():
     rng = np.random.default_rng(3)
     a = random_hermitian(rng, 2)
     b = random_hermitian(rng, 3)
-    joint = qc.tensor_product(a, b)
-    left = qc.partial_trace(joint, (2, 3), keep="first")
-    assert np.allclose(left.entries, b.trace() * a.entries, atol=1e-12)
-    right = qc.partial_trace(joint, (2, 3), keep="second")
-    assert np.allclose(right.entries, a.trace() * b.entries, atol=1e-12)
+    joint = qc.HermitianOperator(np.kron(a.entries, b.entries))
+    left = qc.subsystem_marginal(joint, (2, 3), 0)
+    assert np.allclose(left.entries, np.trace(b.entries).real * a.entries, atol=1e-12)
+    right = qc.subsystem_marginal(joint, (2, 3), 1)
+    assert np.allclose(right.entries, np.trace(a.entries).real * b.entries, atol=1e-12)
     with pytest.raises(qc.DimensionMismatchError):
-        qc.partial_trace(joint, (2, 2), keep="first")
+        qc.subsystem_marginal(joint, (2, 2), 0)
 
 
 def test_subsystem_marginal_three_factors():
@@ -216,39 +194,42 @@ def test_subsystem_marginal_three_factors():
     parts = [random_density(rng, 2) for _ in range(3)]
     joint = parts[0]
     for part in parts[1:]:
-        joint = qc.DensityMatrix(qc.tensor_product(joint, part).entries)
+        joint = qc.DensityMatrix(np.kron(joint.entries, part.entries))
     for k, part in enumerate(parts):
         got = qc.subsystem_marginal(joint, (2, 2, 2), k)
         assert np.allclose(got.entries, part.entries, atol=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(2.7, 3), (2, 3.0), (0, 6), (-2, -3)])
+@pytest.mark.parametrize(
+    "dims", [(2.7, 3), (2, 3.0), (0, 6), (-2, -3), (True, 6), (2, "3"), (None, 6), (2, np.float64(3.0))]
+)
 def test_factor_dimensions_must_be_positive_integers(dims):
     # Truncating 2.7 to 2 would trace a dimension-6 operator as a 2x3 split.
     operator = qc.HermitianOperator(np.eye(6))
     for index in (0, 1):
         with pytest.raises(qc.ValidationError, match="positive integers"):
             qc.subsystem_marginal(operator, dims, index)
-    with pytest.raises(qc.ValidationError, match="positive integers"):
-        qc.partial_trace(operator, dims, "first")
 
 
-@pytest.mark.parametrize("dims", [(2.7, 3), (2, 3.0), (0, 6), (-2, -3), (2, 2), (3, 3)])
-def test_partial_trace_reports_the_subsystem_marginal_fault(dims):
-    # partial_trace leaves the integer and compose rules to subsystem_marginal.
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (5,)])
+def test_factor_dimensions_must_compose_to_the_operator(dims):
     operator = qc.HermitianOperator(np.eye(6))
-    for keep, index in (("first", 0), ("second", 1)):
-        with pytest.raises(qc.ValidationError) as direct:
-            qc.subsystem_marginal(operator, dims, index)
-        with pytest.raises(qc.ValidationError) as bipartite:
-            qc.partial_trace(operator, dims, keep)
-        assert type(bipartite.value) is type(direct.value)
-        assert str(bipartite.value) == str(direct.value)
+    message = f"factor dimensions {list(dims)} do not compose to operator dimension 6"
+    with pytest.raises(qc.DimensionMismatchError, match="^" + re.escape(message) + "$"):
+        qc.subsystem_marginal(operator, dims, 0)
 
 
-@pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
-def test_partial_trace_needs_a_dimension_pair(dims):
-    operator = qc.HermitianOperator(np.eye(4))
-    with pytest.raises(qc.ValidationError, match="must be a pair"):
-        qc.partial_trace(operator, dims, "first")
+@pytest.mark.parametrize("index", [-1, 2, 1.0, True])
+def test_subsystem_index_must_name_a_factor(index):
+    # A float or bool index is refused rather than read as the factor it rounds to.
+    operator = qc.HermitianOperator(np.eye(6))
+    message = f"subsystem index {index!r} out of range for 2 factors"
+    with pytest.raises(qc.ValidationError, match="^" + re.escape(message) + "$"):
+        qc.subsystem_marginal(operator, (2, 3), index)
 
+
+def test_the_marginal_of_a_single_factor_is_the_operator():
+    rng = np.random.default_rng(7)
+    operator = random_hermitian(rng, 3)
+    got = qc.subsystem_marginal(operator, (3,), 0)
+    assert np.allclose(got.entries, operator.entries, atol=1e-15)
