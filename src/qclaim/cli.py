@@ -141,7 +141,7 @@ def _command(name: str, help: str):
 
 # -- computations: each takes the decoded payload keys, and the seed if it names
 # it, and returns (results, diagnostics, stderr summary); every gate applies
-# the library's default tolerances
+# the library's one set of tolerances, DEFAULT_TOLERANCES
 
 
 @_command("price", "price a claim and report its expected payout")
@@ -365,7 +365,7 @@ def run(
             raise ValidationError(f"scenario kind {kind!r} does not match subcommand {command!r}")
         effective_seed = int_from_json(scenario.get("seed", 0), "scenario.seed")
         if seed is not None:
-            effective_seed = seed
+            effective_seed = int_from_json(seed, "seed")
         if not 0 <= effective_seed <= _MAX_SEED:
             raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {effective_seed}")
         payload = scenario["payload"]

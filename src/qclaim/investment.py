@@ -19,7 +19,7 @@ from .errors import DegenerateMarginalError, DimensionMismatchError, NumericalEr
 from .errors import ValidationError, bounded_int, finite_real, numeric_array
 from .pricing import FinancialClaim, PricingKernel, _payout_vector
 from .quantum import DensityMatrix, MeasurementBasis, basis_marginals
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 __all__ = _EXPORTS["investment"]
 
@@ -128,14 +128,14 @@ class DivergenceReport:
     q_marginals: np.ndarray
 
 
-def _checked_distribution(values, name: str, tol: Tolerances) -> np.ndarray:
+def _checked_distribution(values, name: str) -> np.ndarray:
     arr = numeric_array(values, name, ndim=1)
     if arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty vector")
     if (arr < 0).any():
         raise ValidationError(f"{name} must be finite and nonnegative")
     total = float(arr.sum())
-    if not abs(total - 1.0) <= tol.trace:
+    if not abs(total - 1.0) <= TOL.trace:
         raise ValidationError(f"{name} must sum to 1, got {total:.12g}")
     arr.setflags(write=False)
     return arr
@@ -185,16 +185,13 @@ def solve_multiplier(
 
 
 def _positive_marginals(
-    state: DensityMatrix,
-    kernel: PricingKernel,
-    basis: MeasurementBasis,
-    tol: Tolerances,
+    state: DensityMatrix, kernel: PricingKernel, basis: MeasurementBasis
 ) -> tuple[np.ndarray, np.ndarray]:
-    p_m = basis_marginals(state, basis, tol=tol)
-    q_m = basis_marginals(kernel.q, basis, tol=tol)
+    p_m = basis_marginals(state, basis)
+    q_m = basis_marginals(kernel.q, basis)
     for label, arr in (("physical", p_m), ("pricing", q_m)):
         small = int(np.argmin(arr))
-        if arr[small] <= tol.marginal_floor:
+        if arr[small] <= TOL.marginal_floor:
             raise DegenerateMarginalError(
                 f"{label} probability {arr[small]:.3e} at outcome {small} is below the "
                 f"marginal floor; the allocation problem is ill posed on this basis"
@@ -208,8 +205,6 @@ def optimal_payouts(
     basis: MeasurementBasis,
     budget: float,
     utility: UtilityFunction,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> OptimalInvestment:
     """Expected-utility-maximizing payout schedule on ``basis`` under the budget.
 
@@ -219,7 +214,7 @@ def optimal_payouts(
     the budget exactly.
     """
     budget = finite_real(budget, "budget")
-    p_m, q_m = _positive_marginals(state, kernel, basis, tol)
+    p_m, q_m = _positive_marginals(state, kernel, basis)
     ratios = q_m / p_m
     multiplier = solve_multiplier(zip(q_m.tolist(), ratios.tolist()), budget, kernel.discount, utility)
     with np.errstate(over="ignore", divide="ignore"):
@@ -229,7 +224,7 @@ def optimal_payouts(
         raise SolverError(
             f"multiplier {multiplier!r} gives payouts or a price beyond floating-point range"
         )
-    if not abs(realized - budget) <= tol.budget * max(1.0, budget):
+    if not abs(realized - budget) <= TOL.budget * max(1.0, budget):
         raise NumericalError(f"budget not saturated: realized price {realized!r} vs budget {budget!r}")
     return OptimalInvestment(basis, payouts, multiplier, budget, realized)
 
@@ -239,15 +234,13 @@ def expected_utility(
     basis: MeasurementBasis,
     payouts,
     utility: UtilityFunction,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Expectation of utility of the payout under the state's basis marginals."""
     arr = _payout_vector(payouts, basis)
     if (arr <= 0).any():
         j = int(np.argmin(arr))
         raise ValidationError(f"utility undefined at nonpositive payout {arr[j]:.6g} (outcome {j})")
-    marginals = basis_marginals(state, basis, tol=tol)
+    marginals = basis_marginals(state, basis)
     return float(utility.value(arr) @ marginals)
 
 
@@ -258,8 +251,6 @@ def verify_optimality(
     utility: UtilityFunction,
     trials: int = 1000,
     rng: np.random.Generator | None = None,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
     """Check the candidate is not beaten by random budget-exhausting payouts.
 
@@ -273,9 +264,9 @@ def verify_optimality(
     trials = bounded_int(trials, "trials")  # trials x dimension floats stay within MAX_SIZE**2
     if rng is None:
         rng = np.random.default_rng(0)
-    p_m, q_m = _positive_marginals(state, kernel, candidate.basis, tol)
+    p_m, q_m = _positive_marginals(state, kernel, candidate.basis)
     cost = kernel.discount * float(candidate.payouts @ q_m)
-    if not abs(cost - candidate.budget) <= tol.budget * max(1.0, abs(candidate.budget)):
+    if not abs(cost - candidate.budget) <= TOL.budget * max(1.0, abs(candidate.budget)):
         raise ValidationError(
             f"budget not saturated: candidate costs {cost!r} against budget {candidate.budget!r}"
         )
@@ -288,15 +279,13 @@ def verify_optimality(
         raise NumericalError(
             "a random alternative payout overflowed; the budget is beyond floating-point range"
         )
-    return bool(np.all(scores <= base + tol.optimality))
+    return bool(np.all(scores <= base + TOL.optimality))
 
 
-def _checked_pair(
-    p_marginals, q_marginals, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _checked_pair(p_marginals, q_marginals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Both distributions checked, equally long, and q > 0 wherever p > 0; also returns p's support.
-    p_m = _checked_distribution(p_marginals, "physical marginals", tol)
-    q_m = _checked_distribution(q_marginals, "pricing marginals", tol)
+    p_m = _checked_distribution(p_marginals, "physical marginals")
+    q_m = _checked_distribution(q_marginals, "pricing marginals")
     if p_m.shape != q_m.shape:
         raise DimensionMismatchError("marginal vectors differ in length")
     mask = p_m > 0.0
@@ -308,9 +297,9 @@ def _checked_pair(
     return p_m, q_m, mask
 
 
-def excess_return_factor(p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def excess_return_factor(p_marginals, q_marginals) -> float:
     """Growth factor sum_j p_j^2 / q_j of the log-optimal payout schedule."""
-    p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
+    p_m, q_m, mask = _checked_pair(p_marginals, q_marginals)
     with np.errstate(over="ignore"):  # a subnormal q_j overflows; the finite check names it
         factor = float(np.sum(p_m[mask] ** 2 / q_m[mask]))
     if not math.isfinite(factor):
@@ -318,11 +307,9 @@ def excess_return_factor(p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_
     return factor
 
 
-def kl_divergence(
-    p_marginals, q_marginals, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DivergenceReport:
+def kl_divergence(p_marginals, q_marginals) -> DivergenceReport:
     """Relative entropy sum_j p_j log(p_j / q_j); zero-probability terms drop out."""
-    p_m, q_m, mask = _checked_pair(p_marginals, q_marginals, tol)
+    p_m, q_m, mask = _checked_pair(p_marginals, q_marginals)
     with np.errstate(over="ignore"):  # a subnormal q_j overflows; the finite check names it
         kl = max(float(np.sum(p_m[mask] * np.log(p_m[mask] / q_m[mask]))), 0.0)
     if not math.isfinite(kl):
@@ -338,7 +325,6 @@ def rate_of_return(
     horizon: float = 1.0,
     *,
     verify_log_optimal: bool = False,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ReturnReport:
     """Gross return, total/interest/excess rates of a payout schedule.
 
@@ -351,8 +337,8 @@ def rate_of_return(
     t = finite_real(horizon, "horizon")
     if t <= 0.0:
         raise ValidationError(f"horizon must be positive, got {t!r}")
-    p_m = basis_marginals(state, basis, tol=tol)
-    q_m = basis_marginals(kernel.q, basis, tol=tol)
+    p_m = basis_marginals(state, basis)
+    q_m = basis_marginals(kernel.q, basis)
     initial = kernel.discount * float(arr @ q_m)
     if initial <= 0.0:
         raise ValidationError("payout schedule has zero price; return undefined")
@@ -366,9 +352,9 @@ def rate_of_return(
         if not math.isfinite(getattr(report, name)):
             raise ValidationError(f"return report field {name} must be finite")
     if verify_log_optimal:
-        factor = excess_return_factor(p_m, q_m, tol=tol)
+        factor = excess_return_factor(p_m, q_m)
         gap = abs(gross * kernel.discount - factor)
-        if not gap <= tol.excess_identity * max(1.0, factor):
+        if not gap <= TOL.excess_identity * max(1.0, factor):
             raise NumericalError(
                 f"discounted gross return {gross * kernel.discount:.12g} does not match "
                 f"the log-optimal growth factor {factor:.12g}"

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import _EXPORTS
 from .errors import DimensionMismatchError, ValidationError, is_integer, numeric_array
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:
     import numpy as np
@@ -353,9 +352,7 @@ class ContractMenu:
         self.kernel = kernel
 
 
-def _outcome_probabilities(
-    system: KSSystem, state: DensityMatrix, tol: Tolerances
-) -> np.ndarray:
+def _outcome_probabilities(system: KSSystem, state: DensityMatrix) -> np.ndarray:
     import numpy as np
 
     from .quantum import _probabilities, _quadratic_forms
@@ -364,30 +361,25 @@ def _outcome_probabilities(
     # by |r| would change the rounding of every menu probability.
     rays = np.array([system.ray(rid).components for b in system.bases for rid in b.ray_ids])
     weights = _quadratic_forms(state.entries, rays.astype(complex)) / (rays * rays).sum(axis=1)
-    return _probabilities(weights, tol).reshape(len(system.bases), 4)
+    return _probabilities(weights).reshape(len(system.bases), 4)
 
 
-def menu_probabilities(menu: ContractMenu, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def menu_probabilities(menu: ContractMenu) -> np.ndarray:
     """Outcome probabilities of the menu state, one row per contract."""
-    return _outcome_probabilities(menu.system, menu.state, tol)
+    return _outcome_probabilities(menu.system, menu.state)
 
 
-def menu_prices(menu: ContractMenu, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def menu_prices(menu: ContractMenu) -> np.ndarray:
     """Present value of each contract under the menu's kernel."""
     if menu.kernel is None:
         raise ValidationError("menu has no pricing kernel")
     import numpy as np
 
-    weights = _outcome_probabilities(menu.system, menu.kernel.q, tol)
+    weights = _outcome_probabilities(menu.system, menu.kernel.q)
     return menu.kernel.discount * np.sum(menu.payout_tables * weights, axis=1)
 
 
-def choose_contract(
-    menu: ContractMenu,
-    utility=None,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[int, np.ndarray]:
+def choose_contract(menu: ContractMenu, utility=None) -> tuple[int, np.ndarray]:
     """Pick the best contract: expected utility, or expected payout without one.
 
     Returns the lowest index among maximizers together with every
@@ -395,7 +387,7 @@ def choose_contract(
     """
     import numpy as np
 
-    probabilities = menu_probabilities(menu, tol=tol)
+    probabilities = menu_probabilities(menu)
     table = menu.payout_tables
     if utility is None:
         scores = np.sum(table * probabilities, axis=1)

@@ -18,7 +18,7 @@ from . import _EXPORTS
 from .errors import DimensionMismatchError, NumericalError, ValidationError, bounded_int, finite_real
 from .pricing import PricingKernel
 from .quantum import DensityMatrix, HermitianOperator, _trusted, subsystem_marginal
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 __all__ = _EXPORTS["portfolio"]
 
@@ -82,11 +82,7 @@ def product_state(first: DensityMatrix, second: DensityMatrix) -> TwoPartyState:
     return TwoPartyState((first.dim, second.dim), joint)
 
 
-def separable_mixture(
-    components: Sequence[tuple[float, DensityMatrix, DensityMatrix]],
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> TwoPartyState:
+def separable_mixture(components: Sequence[tuple[float, DensityMatrix, DensityMatrix]]) -> TwoPartyState:
     """Convex mixture of product states with explicit weights."""
     items = list(components)
     if not items:
@@ -104,12 +100,12 @@ def separable_mixture(
             )
         joint += w * np.kron(first.entries, second.entries)
         total += w
-    if not abs(total - 1.0) <= tol.trace:
+    if not abs(total - 1.0) <= TOL.trace:
         raise ValidationError(f"mixture weights must sum to 1, got {total:.12g}")
     return TwoPartyState(dims, _trusted(DensityMatrix, joint))
 
 
-def is_ppt(state: TwoPartyState, *, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_ppt(state: TwoPartyState) -> bool:
     """Whether the partial transpose over the second subsystem stays PSD.
 
     A negative eigenvalue certifies entanglement.  A nonnegative spectrum
@@ -120,7 +116,7 @@ def is_ppt(state: TwoPartyState, *, tol: Tolerances = DEFAULT_TOLERANCES) -> boo
     blocks = state.rho.entries.reshape(n, m, n, m)
     transposed = blocks.transpose(0, 3, 2, 1).reshape(n * m, n * m)
     smallest = float(np.linalg.eigvalsh(transposed)[0])
-    return smallest >= -tol.psd
+    return smallest >= -TOL.psd
 
 
 def portfolio_observable(
@@ -135,12 +131,7 @@ def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(a * b.T)))
 
 
-def portfolio_expected_payout(
-    state: TwoPartyState,
-    observable: PortfolioObservable,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def portfolio_expected_payout(state: TwoPartyState, observable: PortfolioObservable) -> float:
     """Expected portfolio payout, verified to split across subsystem marginals.
 
     The two-leg case of ``nparty_expected_payout``: the joint-space
@@ -153,18 +144,13 @@ def portfolio_expected_payout(
             f"state dimensions {state.dims} differ from observable dimensions {observable.dims}"
         )
     legs = (observable.first, observable.second)
-    return nparty_expected_payout(state.rho, legs, observable.weights, tol=tol)
+    return nparty_expected_payout(state.rho, legs, observable.weights)
 
 
-def portfolio_price(
-    kernel: PricingKernel,
-    observable: PortfolioObservable,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def portfolio_price(kernel: PricingKernel, observable: PortfolioObservable) -> float:
     """Present value of the portfolio under a joint-space kernel, split-verified."""
     legs = (observable.first, observable.second)
-    return kernel.discount * nparty_expected_payout(kernel.q, legs, observable.weights, tol=tol)
+    return kernel.discount * nparty_expected_payout(kernel.q, legs, observable.weights)
 
 
 def payout_covariance(
@@ -227,8 +213,6 @@ def nparty_expected_payout(
     state: DensityMatrix,
     operators: Sequence[HermitianOperator],
     weights: Sequence[float],
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Expected N-leg portfolio payout, verified additive across marginals."""
     ops = list(operators)
@@ -244,7 +228,7 @@ def nparty_expected_payout(
     for i, op in enumerate(ops):
         reduced = subsystem_marginal(state, dims, i)
         split += w[i] * _real_trace_product(reduced.entries, op.entries)
-    if not abs(joint - split) <= tol.additivity * max(1.0, abs(joint)):  # NaN fails too
+    if not abs(joint - split) <= TOL.additivity * max(1.0, abs(joint)):  # NaN fails too
         raise NumericalError(
             f"additivity violated numerically: joint {joint!r} vs marginal split {split!r}"
         )

@@ -29,7 +29,7 @@ from .quantum import (
     basis_marginals,
     standard_basis,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 __all__ = _EXPORTS["pricing"]
 
@@ -102,16 +102,14 @@ class AxiomReport:
         return self.axiom1_holds and self.axiom2_holds and self.axiom3_holds
 
 
-def price(kernel: PricingKernel, claim: FinancialClaim, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def price(kernel: PricingKernel, claim: FinancialClaim) -> float:
     """Present value: discount * tr(q X).  Nonnegative for every claim."""
-    return kernel.discount * expected_payout(kernel.q, claim, tol=tol)
+    return kernel.discount * expected_payout(kernel.q, claim)
 
 
-def expected_payout(
-    state: DensityMatrix, claim: FinancialClaim, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def expected_payout(state: DensityMatrix, claim: FinancialClaim) -> float:
     """Expectation tr(state X) of the claim's payout."""
-    marginals = basis_marginals(state, claim.basis, tol=tol)
+    marginals = basis_marginals(state, claim.basis)
     return float(claim.payouts @ marginals)
 
 
@@ -132,14 +130,7 @@ def arrow_debreu(basis: MeasurementBasis, outcome: int) -> FinancialClaim:
     return FinancialClaim(basis, payouts)
 
 
-def claim_combine(
-    a: float,
-    first: FinancialClaim,
-    b: float,
-    second: FinancialClaim,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> FinancialClaim:
+def claim_combine(a: float, first: FinancialClaim, b: float, second: FinancialClaim) -> FinancialClaim:
     """Claim whose operator is a * X + b * Y, re-diagonalized.
 
     Weights must be nonnegative so the result stays in the claim cone.
@@ -154,7 +145,7 @@ def claim_combine(
             f"claims of dimension {first.dim} and {second.dim}"
         )
     x, y = first.as_operator().entries, second.as_operator().entries
-    payouts, vectors, _ = _combinations(x[None], y[None], ((a, b),), tol)
+    payouts, vectors, _ = _combinations(x[None], y[None], ((a, b),))
     return FinancialClaim(_trusted(MeasurementBasis, vectors[0]), payouts[0])
 
 
@@ -172,7 +163,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _combinations(x: np.ndarray, y: np.ndarray, weights, tol: Tolerances, q: np.ndarray | None = None):
+def _combinations(x: np.ndarray, y: np.ndarray, weights, q: np.ndarray | None = None):
     # Payouts and eigenbasis rows of a * x[k] + b * y[k] for each k and each (a, b) in weights,
     # k-major; with a state q, also their clipped marginals under q.  The first combination
     # that fails raises, at its first failing stage: convergence, reconstruction, negative
@@ -186,27 +177,21 @@ def _combinations(x: np.ndarray, y: np.ndarray, weights, tol: Tolerances, q: np.
         if len(stack) > 1:  # name the first combination that fails: rerun them one at a time
             for k in range(len(x)):
                 for w in weights:
-                    _combinations(x[k : k + 1], y[k : k + 1], (w,), tol, q)
+                    _combinations(x[k : k + 1], y[k : k + 1], (w,), q)
         raise
-    payouts[(payouts < 0.0) & (payouts >= -tol.psd)] = 0.0
-    failed = ~(error <= tol.reconstruction) | (payouts < 0.0).any(axis=1)
+    payouts[(payouts < 0.0) & (payouts >= -TOL.psd)] = 0.0
+    failed = ~(error <= TOL.reconstruction) | (payouts < 0.0).any(axis=1)
     first = int(np.argmax(failed)) if failed.any() else len(stack)
     # Born range of every combination before the first failure, which then raises.
-    marginals = None if q is None else _probabilities(_quadratic_forms(q, vectors[:first]), tol)
+    marginals = None if q is None else _probabilities(_quadratic_forms(q, vectors[:first]))
     if first < len(stack):
-        if not error[first] <= tol.reconstruction:
+        if not error[first] <= TOL.reconstruction:
             raise NumericalError(f"eigendecomposition reconstruction error {error[first]:.3e}")
         raise NumericalError("combination produced a negative payout beyond tolerance")
     return payouts, vectors, marginals
 
 
-def check_axioms(
-    kernel: PricingKernel,
-    state: DensityMatrix,
-    sample_claims,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> AxiomReport:
+def check_axioms(kernel: PricingKernel, state: DensityMatrix, sample_claims) -> AxiomReport:
     """Test the pricing rule against the three arbitrage axioms.
 
     Axiom 1 (zero price iff zero expected payout) is probed on the sample
@@ -242,7 +227,7 @@ def check_axioms(
     bases = [c.basis.vectors for c in claims]
     for label, probed in (("physical", state), ("pricing", kernel.q)):
         vals, vecs = np.linalg.eigh(probed.entries)
-        for j in np.flatnonzero(vals < tol.null_space):
+        for j in np.flatnonzero(vals < TOL.null_space):
             labels.append(f"unit claim on {label}-state null eigenvector {int(j)}")
             payouts.append(np.eye(n)[j])
             bases.append(vecs.T)
@@ -253,10 +238,10 @@ def check_axioms(
     # expectation, probe by probe, then the bond's price (never needed under the physical state).
     bases = np.stack(bases + [np.eye(n)])
     forms = _quadratic_forms(np.stack((kernel.q.entries, state.entries)), bases[:, None])
-    marginals = _probabilities(forms.reshape(-1, n)[: 2 * probes + 1], tol)
+    marginals = _probabilities(forms.reshape(-1, n)[: 2 * probes + 1])
     values = kernel.discount * _row_dots(payouts, marginals[0 : 2 * probes : 2])
     expectations = _row_dots(payouts, marginals[1 : 2 * probes : 2])
-    mismatched = (values <= tol.price) != (expectations <= tol.price)
+    mismatched = (values <= TOL.price) != (expectations <= TOL.price)
     for k in np.flatnonzero(mismatched):
         value, expectation = float(values[k]), float(expectations[k])
         violations.append(
@@ -278,26 +263,24 @@ def check_axioms(
     for i in range(size - 1):
         later = operators[i + 1 :]
         deviation = np.abs(operators[i] @ later - later @ operators[i]).max(axis=(1, 2))
-        commuting = i + 1 + np.flatnonzero(deviation <= tol.hermiticity)
+        commuting = i + 1 + np.flatnonzero(deviation <= TOL.hermiticity)
         first += [i] * len(commuting)
         second += commuting.tolist()
     a, b = np.array(_AXIOM2_WEIGHTS).T
     block = max(1, min(size, _BLOCK_ENTRIES // (2 * n * n)))  # commuting pairs per block
     for start in range(0, len(first), block):
         i, j = np.array(first[start : start + block]), np.array(second[start : start + block])
-        combined, _, weights = _combinations(
-            operators[i], operators[j], _AXIOM2_WEIGHTS, tol, q=kernel.q.entries
-        )
+        combined, _, weights = _combinations(operators[i], operators[j], _AXIOM2_WEIGHTS, q=kernel.q.entries)
         combined_prices = kernel.discount * _row_dots(combined, weights).reshape(-1, 2)
         gaps = np.abs(combined_prices - a * prices[i, None] - b * prices[j, None])
-        for k, w in zip(*np.nonzero(~(gaps <= tol.price))):  # NaN is a violation too
+        for k, w in zip(*np.nonzero(~(gaps <= TOL.price))):  # NaN is a violation too
             axiom2 = False
             pair = f"{names[i[k]]} and {names[j[k]]} with weights {_AXIOM2_WEIGHTS[w]}"
             violations.append((f"axiom 2: {pair}: linearity gap", float(gaps[k, w])))
 
     # Axiom 3: the bond trades at the discount factor.
     bond_gap = abs(bond_price - kernel.discount)
-    axiom3 = bond_gap <= tol.price
+    axiom3 = bond_gap <= TOL.price
     if not axiom3:
         violations.append(("axiom 3: bond price differs from discount factor", float(bond_gap)))
 
@@ -330,13 +313,7 @@ def _hermitian_from_parameters(params: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def calibrate(
-    n: int,
-    bond_price: float,
-    quotes,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> PricingKernel:
+def calibrate(n: int, bond_price: float, quotes) -> PricingKernel:
     """Recover the pricing state from quoted claim prices by least squares.
 
     Each quote (claim, observed price) contributes one linear equation
@@ -371,13 +348,13 @@ def calibrate(
             f"quote system is rank-deficient: rank {rank} of {n * n} Hermitian degrees of freedom"
         )
     residual = float(np.abs(system @ solution - target).max())
-    if not residual <= tol.calibration:
+    if not residual <= TOL.calibration:
         raise CalibrationError(
             f"quotes are mutually inconsistent: max residual {residual:.3e}"
         )
     recovered = _hermitian_from_parameters(solution, n)
     try:
-        q = DensityMatrix(recovered, tol=tol)
+        q = DensityMatrix(recovered)
     except ValidationError as exc:
         raise CalibrationError(
             f"calibrated state is not a valid density matrix (quotes admit arbitrage): {exc}"

@@ -16,7 +16,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import DimensionMismatchError, NumericalError, ValidationError, bounded_int, is_integer
 from .errors import numeric_array
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 __all__ = _EXPORTS["quantum"]
 
@@ -54,11 +54,11 @@ class HermitianOperator:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, entries):
         arr = _complex_square(entries, type(self).__name__)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail as nan or inf
             deviation = float(np.abs(arr - arr.conj().T).max())
-        if not deviation <= tol.hermiticity:
+        if not deviation <= TOL.hermiticity:
             _require_finite(arr, type(self).__name__)
             raise ValidationError(
                 f"{type(self).__name__} is not Hermitian: max |A - A^dagger| = {deviation:.3e}"
@@ -79,13 +79,13 @@ class DensityMatrix(HermitianOperator):
 
     __slots__ = ()
 
-    def __init__(self, entries, *, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(entries, tol=tol)
+    def __init__(self, entries):
+        super().__init__(entries)
         trace = complex(self.entries.trace())
-        if not abs(trace - 1.0) <= tol.trace:
+        if not abs(trace - 1.0) <= TOL.trace:
             raise ValidationError(f"state trace must be 1, got {trace.real:.12g}")
         smallest = float(np.linalg.eigvalsh(self.entries)[0])
-        if not smallest >= -tol.psd:
+        if not smallest >= -TOL.psd:
             raise ValidationError(
                 f"state is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
             )
@@ -96,13 +96,13 @@ class MeasurementBasis:
 
     __slots__ = ("vectors",)
 
-    def __init__(self, vectors, *, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, vectors):
         arr = _complex_square(vectors, "measurement basis")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail as nan or inf
             gram = arr.conj() @ arr.T
             gram.reshape(-1)[:: arr.shape[0] + 1] -= 1.0
             deviation = float(np.abs(gram).max())
-        if not deviation <= tol.orthonormality:
+        if not deviation <= TOL.orthonormality:
             _require_finite(arr, "measurement basis")
             raise ValidationError(
                 f"basis vectors are not orthonormal: max Gram deviation {deviation:.3e}"
@@ -171,16 +171,14 @@ def _spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vals, vectors, error
 
 
-def eigendecompose(
-    operator: HermitianOperator, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Spectrum:
+def eigendecompose(operator: HermitianOperator) -> Spectrum:
     """Ascending eigenvalues and an orthonormal eigenbasis of ``operator``.
 
     Within a degenerate eigenspace the returned vectors are an arbitrary
     orthonormal choice; only the reconstructed operator is promised.
     """
     vals, vectors, err = _spectra(operator.entries)
-    if not err <= tol.reconstruction:
+    if not err <= TOL.reconstruction:
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
     vals.setflags(write=False)
     return Spectrum(vals, _trusted(MeasurementBasis, vectors))
@@ -193,32 +191,28 @@ def _quadratic_forms(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return products.sum(axis=-1).real
 
 
-def _probabilities(values: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _probabilities(values: np.ndarray) -> np.ndarray:
     # Clipped Born weights over the trailing axis; the first row (C order) out of range raises.
     rows = values.reshape(-1, values.shape[-1])
     low, high = rows.min(axis=1), rows.max(axis=1)
-    outside = ~((low >= -tol.psd) & (high <= 1.0 + tol.psd))  # NaN fails too
+    outside = ~((low >= -TOL.psd) & (high <= 1.0 + TOL.psd))  # NaN fails too
     if outside.any():
         k = int(np.argmax(outside))
-        worst = low[k] if low[k] < -tol.psd else high[k]
+        worst = low[k] if low[k] < -TOL.psd else high[k]
         raise NumericalError(f"Born probability {worst:.6g} lies outside [0, 1]")
     return np.clip(values, 0.0, 1.0)
 
 
-def basis_marginals(
-    state: DensityMatrix, basis: MeasurementBasis, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def basis_marginals(state: DensityMatrix, basis: MeasurementBasis) -> np.ndarray:
     """All outcome probabilities of measuring ``state`` in ``basis``."""
     if basis.dim != state.dim:
         raise DimensionMismatchError(
             f"dimension-{basis.dim} basis against a dimension-{state.dim} state"
         )
-    return _probabilities(_quadratic_forms(state.entries, basis.vectors), tol)
+    return _probabilities(_quadratic_forms(state.entries, basis.vectors))
 
 
-def absolutely_continuous(
-    reference: DensityMatrix, state: DensityMatrix, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def absolutely_continuous(reference: DensityMatrix, state: DensityMatrix) -> bool:
     """True iff ``state`` vanishes on the null space of ``reference``.
 
     Every event impossible under ``reference`` is then impossible under
@@ -229,18 +223,16 @@ def absolutely_continuous(
             f"states of dimension {reference.dim} and {state.dim}"
         )
     vals, vecs = np.linalg.eigh(reference.entries)
-    null = vecs[:, vals < tol.null_space]
+    null = vecs[:, vals < TOL.null_space]
     if null.shape[1] == 0:
         return True
     norms = np.linalg.norm(state.entries @ null, axis=0)
-    return bool(norms.max() < tol.null_space)
+    return bool(norms.max() < TOL.null_space)
 
 
-def equivalent_states(
-    a: DensityMatrix, b: DensityMatrix, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def equivalent_states(a: DensityMatrix, b: DensityMatrix) -> bool:
     """True iff the two states share a null space (agree on impossible events)."""
-    return absolutely_continuous(a, b, tol=tol) and absolutely_continuous(b, a, tol=tol)
+    return absolutely_continuous(a, b) and absolutely_continuous(b, a)
 
 
 def subsystem_marginal(

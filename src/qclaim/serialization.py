@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any
 from .errors import NumericalError, ValidationError, is_integer, numeric_array
 from .errors import finite_real as real_from_json  # the library's own rule, not a copy
 from .kochen_specker import KSBasis, KSRay, KSSystem
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,41 +125,41 @@ def _checked(construct, what: str, *args, **kwargs):
         raise type(exc)(f"{what}: {exc}") from None
 
 
-def hermitian_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
+def hermitian_from_json(obj: Any, what: str) -> HermitianOperator:
     from .quantum import HermitianOperator
 
-    return _checked(HermitianOperator, what, matrix_from_json(obj, what), tol=tol)
+    return _checked(HermitianOperator, what, matrix_from_json(obj, what))
 
 
-def density_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def density_from_json(obj: Any, what: str) -> DensityMatrix:
     from .quantum import DensityMatrix
 
-    return _checked(DensityMatrix, what, matrix_from_json(obj, what), tol=tol)
+    return _checked(DensityMatrix, what, matrix_from_json(obj, what))
 
 
-def basis_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
+def basis_from_json(obj: Any, what: str) -> MeasurementBasis:
     from .quantum import MeasurementBasis
 
-    return _checked(MeasurementBasis, what, _complex_rows_from_json(obj, what), tol=tol)
+    return _checked(MeasurementBasis, what, _complex_rows_from_json(obj, what))
 
 
-def claim_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> FinancialClaim:
+def claim_from_json(obj: Any, what: str) -> FinancialClaim:
     from .pricing import FinancialClaim
 
     record = require_keys(obj, what, required=("basis", "payouts"))
-    basis = basis_from_json(record["basis"], f"{what}.basis", tol=tol)
+    basis = basis_from_json(record["basis"], f"{what}.basis")
     payouts = record["payouts"]
     if not isinstance(payouts, list):
         raise ValidationError(f"{what}.payouts must be an array")
     return _checked(FinancialClaim, what, basis, numeric_array(payouts, f"{what}.payouts", ndim=1))
 
 
-def kernel_from_json(obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES) -> PricingKernel:
+def kernel_from_json(obj: Any, what: str) -> PricingKernel:
     from .pricing import PricingKernel
 
     record = require_keys(obj, what, required=("discount", "q"))
     discount = real_from_json(record["discount"], f"{what}.discount")
-    q = density_from_json(record["q"], f"{what}.q", tol=tol)
+    q = density_from_json(record["q"], f"{what}.q")
     return _checked(PricingKernel, what, discount, q)
 
 
@@ -168,15 +167,13 @@ def kernel_to_json(kernel: PricingKernel) -> dict:
     return {"discount": float(kernel.discount), "q": matrix_to_json(kernel.q.entries)}
 
 
-def quotes_from_json(
-    obj: Any, what: str, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[tuple[FinancialClaim, float]]:
+def quotes_from_json(obj: Any, what: str) -> list[tuple[FinancialClaim, float]]:
     if not isinstance(obj, list):
         raise ValidationError(f"{what} must be an array of quote records")
     quotes = []
     for i, record in enumerate(obj):
         entry = require_keys(record, f"{what}[{i}]", required=("claim", "price"), optional=("id",))
-        claim = claim_from_json(entry["claim"], f"{what}[{i}].claim", tol=tol)
+        claim = claim_from_json(entry["claim"], f"{what}[{i}].claim")
         quotes.append((claim, real_from_json(entry["price"], f"{what}[{i}].price")))
     return quotes
 
@@ -200,7 +197,7 @@ def ks_system_from_json(obj: Any, what: str) -> KSSystem:
     for i, comps in enumerate(raw_rays):
         if not isinstance(comps, list) or len(comps) != 4:
             raise ValidationError(f"{what}.rays[{i}] must be an array of 4 integers")
-        rays.append(KSRay(i, _int_row(comps, what, "rays", i)))
+        rays.append(_checked(KSRay, f"{what}.rays[{i}]", i, _int_row(comps, what, "rays", i)))
     raw_bases = record["bases"]
     if not isinstance(raw_bases, list) or not raw_bases:
         raise ValidationError(f"{what}.bases must be a nonempty array")
@@ -212,8 +209,8 @@ def ks_system_from_json(obj: Any, what: str) -> KSSystem:
     for b, ids in enumerate(raw_bases):
         if not isinstance(ids, list) or len(ids) != 4:
             raise ValidationError(f"{what}.bases[{b}] must be an array of 4 ray ids")
-        bases.append(KSBasis(_int_row(ids, what, "bases", b)))
-    return KSSystem(rays, bases)
+        bases.append(_checked(KSBasis, f"{what}.bases[{b}]", _int_row(ids, what, "bases", b)))
+    return _checked(KSSystem, what, rays, bases)
 
 
 def _int_row(row: list, what: str, field: str, index: int) -> tuple:

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-
-from .errors import ValidationError, finite_real
 
 
 @dataclass(frozen=True)
@@ -29,15 +26,6 @@ class Tolerances:
     additivity: float = 1e-10
     excess_identity: float = 1e-10
     optimality: float = 1e-9
-
-    def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every threshold multiplied by ``factor``."""
-        factor = finite_real(factor, "tolerance scale")
-        if factor <= 0.0:
-            raise ValidationError(f"tolerance scale must be positive, got {factor!r}")
-        return Tolerances(
-            **{f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}
-        )
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -8,9 +8,10 @@ leaves to the one function owning it is shown to still reject, from the
 library and from the command line; a table pins the class and message of
 each gate no other test reaches; and every real or integer scalar
 argument, size and numeric array is shown to go through the one rule in
-``qclaim.errors``.  The last tests keep every ``tol=`` keyword and every
-``Tolerances`` field meaningful, since each exists only to be read, and keep
-the scalar and array rules the only copies.
+``qclaim.errors``.  The last tests keep the library on its one set of
+tolerances, with no function taking a ``tol`` parameter and every
+``Tolerances`` field read by a gate, and keep the scalar and array rules the
+only copies.
 """
 
 import ast
@@ -339,11 +340,6 @@ GATE_MESSAGES = {
         qc.DimensionMismatchError,
         "menu kernel must have dimension 4, got 2",
     ),
-    "Tolerances.scaled": (
-        lambda: TOL.scaled(0),
-        qc.ValidationError,
-        "tolerance scale must be positive, got 0.0",
-    ),
 }
 
 
@@ -403,7 +399,6 @@ SCALAR_GATES = {
     ),
     "nparty_portfolio_operator-weights": lambda x: qc.nparty_portfolio_operator([LEG], [x]).entries,
     "nparty_expected_payout-weights": lambda x: qc.nparty_expected_payout(_mixed(2), [LEG], [x]),
-    "Tolerances.scaled": lambda x: qc.DEFAULT_TOLERANCES.scaled(x),
 }
 NOT_REALS = {
     "bool": True,
@@ -457,6 +452,8 @@ INTEGER_GATES = {
     ),
     "TwoPartyState": lambda x: qc.TwoPartyState((x, 4), bell_state()),
     "KSRay-ray_id": lambda x: qc.KSRay(x, (1, 0, 0, 0)),
+    "KSRay-components": lambda x: qc.KSRay(0, (x, 0, 0, 0)),
+    "KSBasis-ray_ids": lambda x: qc.KSBasis((x, 0, 2, 3)),
 }
 
 
@@ -605,22 +602,17 @@ def test_a_nan_weight_is_named_without_a_warning():
     assert caught == []
 
 
-def test_every_tol_parameter_is_read():
-    # A function that takes ``tol`` must name it in its body: it reads a field
-    # or hands ``tol`` on, and a callee that dropped the keyword would raise
-    # TypeError, so by induction every ``tol`` reaches a gate.
-    unread = []
+def test_no_function_takes_a_tol_parameter():
+    # Every gate reads DEFAULT_TOLERANCES; a per-call tolerance would be an option with one value in use.
+    taking = []
     for path in sorted(Path(qc.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             args = node.args
-            if "tol" not in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
-                continue
-            body = (n for statement in node.body for n in ast.walk(statement))
-            if not any(isinstance(n, ast.Name) and n.id == "tol" for n in body):
-                unread.append(f"{path.name}:{node.lineno} {node.name}")
-    assert unread == []
+            if "tol" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                taking.append(f"{path.name}:{node.lineno}")
+    assert taking == []
 
 
 def test_every_tolerance_field_is_read():

@@ -149,6 +149,16 @@ def test_seed_bounds(tmp_path, capsys):
     assert cli.run("price", path, seed=2**64 - 1) == 0
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "str", "bool"])
+def test_seed_override_must_be_an_integer(seed, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.run("optimize", str(GOLDEN / "optimize.scenario.json"), out_path=str(out), seed=seed) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["exit_code"] == 2 and record["type"] == "validation"
+    assert record["message"] == f"seed must be an integer, got {seed!r}"
+
+
 def error_record(capsys):
     err_lines = capsys.readouterr().err.strip().splitlines()
     return json.loads(err_lines[-1])["error"]
@@ -452,32 +462,67 @@ def ks_scenario(rays, bases):
     return {"kind": "ks", "payload": {"system": {"rays": rays, "bases": bases}}}
 
 
+UNIT_RAYS = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def rejected_system_message(kind, rays, bases, tmp_path, capsys):
+    """The message of a ``ks`` or ``menu`` run that exits 2 on its ray system and writes no report."""
+    build = ks_scenario if kind == "ks" else menu_scenario
+    out = tmp_path / "report.json"
+    assert cli.run(kind, write_scenario(tmp_path, build(rays, bases)), out_path=str(out)) == 2
+    assert not out.exists()
+    record = single_error_record(capsys)
+    assert record["exit_code"] == 2 and record["type"] == "validation"
+    return record["message"]
+
+
 @pytest.mark.parametrize(
     "kind, component",
     [("ks", 10**400), ("menu", 10**400), ("menu", 3037000500), ("ks", 2**20 + 1)],
     ids=["ks-10**400", "menu-10**400", "menu-3037000500", "ks-2**20+1"],
 )
 def test_oversized_ray_components_exit_2(kind, component, tmp_path, capsys):
-    rays = [[component, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    build = ks_scenario if kind == "ks" else menu_scenario
-    out = tmp_path / "report.json"
-    assert cli.run(kind, write_scenario(tmp_path, build(rays, [[0, 1, 2, 3]])), out_path=str(out)) == 2
-    assert not out.exists()
-    record = single_error_record(capsys)
-    assert record["exit_code"] == 2 and record["type"] == "validation"
-    assert record["message"] == "ray 0 has a component beyond the bound |c| <= 2**20"
+    rays = [[component, 0, 0, 0]] + UNIT_RAYS[1:]
+    message = rejected_system_message(kind, rays, [[0, 1, 2, 3]], tmp_path, capsys)
+    assert message == "payload.system.rays[0]: ray 0 has a component beyond the bound |c| <= 2**20"
 
 
 @pytest.mark.parametrize("kind", ["ks", "menu"])
 def test_parallel_rays_exit_2(kind, tmp_path, capsys):
-    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -2, 0]]
-    build = ks_scenario if kind == "ks" else menu_scenario
-    out = tmp_path / "report.json"
-    assert cli.run(kind, write_scenario(tmp_path, build(rays, [[0, 1, 2, 3]])), out_path=str(out)) == 2
-    assert not out.exists()
-    record = single_error_record(capsys)
-    assert record["exit_code"] == 2 and record["type"] == "validation"
-    assert record["message"] == "rays 2 and 4 are parallel"
+    message = rejected_system_message(kind, UNIT_RAYS + [[0, 0, -2, 0]], [[0, 1, 2, 3]], tmp_path, capsys)
+    assert message == "payload.system: rays 2 and 4 are parallel"
+
+
+# Ray-system faults the library finds after decoding: (rays, tetrads, message with its path).
+REJECTED_SYSTEMS = {
+    "zero-ray": (
+        UNIT_RAYS + [[0, 0, 0, 0]],
+        [[0, 1, 2, 3]],
+        "payload.system.rays[4]: ray 4 is the zero vector",
+    ),
+    "sign-duplicate": (
+        UNIT_RAYS + [[0, 0, -1, 0]],
+        [[0, 1, 2, 3]],
+        "payload.system: rays 2 and 4 coincide up to sign",
+    ),
+    "repeated-id": (
+        UNIT_RAYS,
+        [[0, 0, 1, 2]],
+        "payload.system.bases[0]: tetrad ray ids must be distinct, got (0, 0, 1, 2)",
+    ),
+    "unknown-id": (
+        UNIT_RAYS,
+        [[0, 1, 2, 3], [0, 1, 2, 999]],
+        "payload.system: tetrad 1 references unknown ray id 999",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["ks", "menu"])
+@pytest.mark.parametrize("case", REJECTED_SYSTEMS)
+def test_ray_system_rejections_name_their_path(case, kind, tmp_path, capsys):
+    rays, bases, message = REJECTED_SYSTEMS[case]
+    assert rejected_system_message(kind, rays, bases, tmp_path, capsys) == message
 
 
 @pytest.mark.parametrize("kind", ["ks", "menu"])

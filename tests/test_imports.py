@@ -239,18 +239,19 @@ def test_readme_library_layout_lists_every_module():
     assert sorted(listed) == sorted(modules)
 
 
-def _reads_tol(node) -> bool:
+def _reads_tolerance(node) -> bool:
+    # Each module that gates binds DEFAULT_TOLERANCES as TOL and reads its fields there.
     return any(
-        isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "tol"
+        isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "TOL"
         for n in ast.walk(node)
     )
 
 
 def test_no_tolerance_gate_lets_nan_through():
-    # Every comparison with NaN is false, so a gate written ``x > tol.f`` or ``x < -tol.f``
+    # Every comparison with NaN is false, so a gate written ``x > TOL.f`` or ``x < -TOL.f``
     # passes NaN.  An ``if`` that raises must not compare with > or < against a tolerance;
-    # gates are written ``not x <= tol.f``, which NaN fails.
-    loose = []
+    # gates are written ``not x <= TOL.f``, which NaN fails.
+    inspected, loose = [], []
     for path in sorted((SRC / "qclaim").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.If):
@@ -260,8 +261,11 @@ def test_no_tolerance_gate_lets_nan_through():
             for compare in (n for n in ast.walk(node.test) if isinstance(n, ast.Compare)):
                 sides = [compare.left, *compare.comparators]
                 for op, left, right in zip(compare.ops, sides, sides[1:]):
-                    if isinstance(op, (ast.Gt, ast.Lt)) and (_reads_tol(left) or _reads_tol(right)):
-                        loose.append(f"{path.name}:{compare.lineno}")
+                    if _reads_tolerance(left) or _reads_tolerance(right):
+                        inspected.append(f"{path.name}:{compare.lineno}")
+                        if isinstance(op, (ast.Gt, ast.Lt)):
+                            loose.append(inspected[-1])
+    assert len(inspected) >= 14  # a renamed record would leave nothing to inspect
     assert loose == []
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import qclaim as qc
+import qclaim.pricing
+import qclaim.quantum
 from helpers import random_basis, random_density, shared_support_pair, spanning_quotes
 from qclaim.pricing import _design_matrix
 from qclaim.quantum import _trusted
-from qclaim.tolerances import DEFAULT_TOLERANCES
+from qclaim.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 def diag_state(*weights):
@@ -283,9 +285,10 @@ def test_design_matrix_matches_the_entry_loop(n):
 
 # The per-pair audit that check_axioms replaced, kept as its reference: one price and
 # expectation per probe, then per pair a commutator test and, per weight pair, one
-# eigendecomposition, claim and price.
+# eigendecomposition, claim and price.  Its own gates read ``tol``; the library calls it
+# makes read the record in force.
 def _reference_combine(a, x, b, y, tol):
-    spectrum = qc.eigendecompose(_trusted(qc.HermitianOperator, a * x + b * y), tol=tol)
+    spectrum = qc.eigendecompose(_trusted(qc.HermitianOperator, a * x + b * y))
     payouts = spectrum.eigenvalues.copy()
     tiny = (payouts < 0.0) & (payouts >= -tol.psd)
     payouts[tiny] = 0.0
@@ -310,8 +313,8 @@ def _reference_check_axioms(kernel, state, claims, tol):
             probes.append((label_j, qc.arrow_debreu(eigenbasis, int(j))))
     axiom1 = True
     for label, claim in probes:
-        value = qc.price(kernel, claim, tol=tol)
-        expectation = qc.expected_payout(state, claim, tol=tol)
+        value = qc.price(kernel, claim)
+        expectation = qc.expected_payout(state, claim)
         if (value <= tol.price) != (expectation <= tol.price):
             axiom1 = False
             violations.append(
@@ -324,14 +327,14 @@ def _reference_check_axioms(kernel, state, claims, tol):
     family = list(claims) + [qc.discount_bond(n)]
     labels = [f"claim {i}" for i in range(len(claims))] + ["bond"]
     operators = [c.as_operator().entries for c in family]
-    prices = [qc.price(kernel, c, tol=tol) for c in family]
+    prices = [qc.price(kernel, c) for c in family]
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if not _reference_commute(operators[i], operators[j], tol):
                 continue
             for a, b in ((1.0, 1.0), (0.5, 2.0)):
                 combined = _reference_combine(a, operators[i], b, operators[j], tol)
-                gap = abs(qc.price(kernel, combined, tol=tol) - a * prices[i] - b * prices[j])
+                gap = abs(qc.price(kernel, combined) - a * prices[i] - b * prices[j])
                 if not gap <= tol.price:
                     axiom2 = False
                     pair = f"{labels[i]} and {labels[j]} with weights ({a}, {b})"
@@ -385,18 +388,33 @@ def _outcome(audit, *args):
         return type(exc), str(exc)
 
 
-def test_check_axioms_matches_the_per_pair_reference():
+def _scaled(factor):
+    # DEFAULT_TOLERANCES with every threshold multiplied by ``factor``.
+    fields = dataclasses.fields(Tolerances)
+    return Tolerances(**{f.name: getattr(DEFAULT_TOLERANCES, f.name) * factor for f in fields})
+
+
+def _audits(monkeypatch, tol, kernel, state, claims):
+    # The outcomes of the reference and of check_axioms with ``tol`` in force: every gate
+    # either one reaches reads the record bound as TOL in qclaim.pricing or qclaim.quantum.
+    with monkeypatch.context() as patch:
+        for module in (qclaim.pricing, qclaim.quantum):
+            patch.setattr(module, "TOL", tol)
+        want = _outcome(_reference_check_axioms, kernel, state, claims, tol)
+        return want, _outcome(qc.check_axioms, kernel, state, claims)
+
+
+def test_check_axioms_matches_the_per_pair_reference(monkeypatch):
     # Exact equality, violation floats included; with tolerances small enough for gates
     # to fire, the same first error.  Every stage's error and every axiom's violation shows up.
     seen = set()
     for seed in range(60):
         kernel, state, claims = _audit_inputs(seed)
         for scale, psd_only in TOLERANCE_SCALES:
-            tol = DEFAULT_TOLERANCES.scaled(scale)
+            tol = _scaled(scale)
             if psd_only:  # reconstruction passes, so negative payouts and Born ranges race
                 tol = dataclasses.replace(tol, reconstruction=DEFAULT_TOLERANCES.reconstruction)
-            want = _outcome(_reference_check_axioms, kernel, state, claims, tol)
-            got = _outcome(lambda *args: qc.check_axioms(*args, tol=tol), kernel, state, claims)
+            want, got = _audits(monkeypatch, tol, kernel, state, claims)
             assert got == want, (seed, scale)
             if isinstance(want, tuple):
                 seen.add(" ".join(want[1].split()[:2]))
@@ -445,7 +463,6 @@ def test_check_axioms_names_the_first_combination_that_does_not_converge(
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    tol = DEFAULT_TOLERANCES.scaled(scale)
-    want = _outcome(_reference_check_axioms, kernel, state, claims, tol)
+    want, got = _audits(monkeypatch, _scaled(scale), kernel, state, claims)
     assert want[0] is qc.NumericalError and want[1].startswith(first_error)
-    assert _outcome(lambda *args: qc.check_axioms(*args, tol=tol), kernel, state, claims) == want
+    assert got == want
