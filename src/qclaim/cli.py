@@ -2,9 +2,9 @@
 
 Each subcommand reads one JSON scenario file, decodes and validates its
 whole payload, then computes and writes a report whose bytes depend only
-on the scenario content and the seed.  Validation problems exit with
-code 2, numerical failures with code 3; both leave a machine-readable
-error record on stderr and never a partial report.
+on the scenario's bytes, whose ``seed`` key is the one seed.  Validation
+problems exit with code 2, numerical failures with code 3; both leave a
+machine-readable error record on stderr and never a partial report.
 
 Importing this module, and running ``ks``, loads no numpy: the integer
 Kochen-Specker path is imported here, and each numeric subcommand imports
@@ -283,10 +283,24 @@ def _ks(*, system=None):
 
 @_command("menu", "score and choose among the tetrad contracts")
 def _menu(*, system=None, state, payouts, utility=None, kernel=None):
-    from .kochen_specker import ContractMenu, choose_contract, menu_prices, menu_probabilities
+    from .kochen_specker import (
+        ContractMenu,
+        _four_dimensional,
+        _payout_table,
+        choose_contract,
+        menu_prices,
+        menu_probabilities,
+    )
 
-    menu = ContractMenu(cabello_system() if system is None else system, payouts, state, kernel)
-    chosen, scores = choose_contract(menu, utility)
+    system = cabello_system() if system is None else system
+    # ContractMenu's own checks, in its order, each led by the key it rejects;
+    # once they pass, only the system's soundness is left to fail.
+    _checked(_payout_table, "payload.payouts", system, payouts)
+    _checked(_four_dimensional, "payload.state", state, "state")
+    if kernel is not None:
+        _checked(_four_dimensional, "payload.kernel.q", kernel, "kernel")
+    menu = _checked(ContractMenu, "payload.system", system, payouts, state, kernel)
+    chosen, scores = _checked(choose_contract, "payload.payouts", menu, utility)
     results = {
         "probabilities": menu_probabilities(menu).tolist(),
         "scores": scores.tolist(),
@@ -337,13 +351,7 @@ def _fail(code: int, category: str, message: str) -> int:
     return code
 
 
-def run(
-    command: str,
-    scenario_path: str,
-    out_path: str | None = None,
-    seed: int | None = None,
-    pretty: bool = False,
-) -> int:
+def run(command: str, scenario_path: str, out_path: str | None = None) -> int:
     """Execute one subcommand against a scenario file; returns the exit code."""
     if command not in _COMMANDS:
         return _fail(EXIT_VALIDATION, "validation", f"unknown subcommand {command!r}")
@@ -363,11 +371,9 @@ def run(
         kind = scenario["kind"]
         if kind != command:
             raise ValidationError(f"scenario kind {kind!r} does not match subcommand {command!r}")
-        effective_seed = int_from_json(scenario.get("seed", 0), "scenario.seed")
-        if seed is not None:
-            effective_seed = int_from_json(seed, "seed")
-        if not 0 <= effective_seed <= _MAX_SEED:
-            raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {effective_seed}")
+        seed = int_from_json(scenario.get("seed", 0), "scenario.seed")
+        if not 0 <= seed <= _MAX_SEED:
+            raise ValidationError(f"scenario.seed must fit in an unsigned 64-bit integer, got {seed}")
         payload = scenario["payload"]
         spec = _COMMANDS[kind]
         required = [key for key in spec.keys if key not in spec.optional]
@@ -378,16 +384,16 @@ def run(
             warnings.simplefilter("ignore", RuntimeWarning)
             values = {key: _decode(key, payload[key]) for key in spec.keys if key in payload}
             if spec.seeded:
-                values["seed"] = effective_seed
+                values["seed"] = seed
             results, diagnostics, summary = spec.compute(**values)
         report = {
             "kind": kind,
             "inputs_digest": digest,
-            "seed": effective_seed,
+            "seed": seed,
             "results": results,
             "diagnostics": diagnostics,
         }
-        text = render_json(report, pretty=pretty) + "\n"
+        text = render_json(report) + "\n"
     except ValidationError as exc:
         return _fail(EXIT_VALIDATION, "validation", str(exc))
     except NumericalError as exc:
@@ -415,10 +421,8 @@ def main(argv=None) -> int:
         sub = subparsers.add_parser(name, help=spec.help)
         sub.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         sub.add_argument("--out", help="write the report here instead of stdout")
-        sub.add_argument("--seed", type=int, help="seed for randomized verification")
-        sub.add_argument("--pretty", action="store_true", help="indent the report")
     args = parser.parse_args(argv)
-    return run(args.command, args.scenario, out_path=args.out, seed=args.seed, pretty=args.pretty)
+    return run(args.command, args.scenario, out_path=args.out)
 
 
 if __name__ == "__main__":

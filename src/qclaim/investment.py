@@ -249,8 +249,8 @@ def verify_optimality(
     state: DensityMatrix,
     kernel: PricingKernel,
     utility: UtilityFunction,
-    trials: int = 1000,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
 ) -> bool:
     """Check the candidate is not beaten by random budget-exhausting payouts.
 
@@ -262,8 +262,6 @@ def verify_optimality(
     budget raises ``ValidationError``.
     """
     trials = bounded_int(trials, "trials")  # trials x dimension floats stay within MAX_SIZE**2
-    if rng is None:
-        rng = np.random.default_rng(0)
     p_m, q_m = _positive_marginals(state, kernel, candidate.basis)
     cost = kernel.discount * float(candidate.payouts @ q_m)
     if not abs(cost - candidate.budget) <= TOL.budget * max(1.0, abs(candidate.budget)):

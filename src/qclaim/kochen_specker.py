@@ -330,26 +330,36 @@ class ContractMenu:
         state: DensityMatrix,
         kernel: PricingKernel | None = None,
     ):
-        table = numeric_array(payout_tables, "payout table", ndim=2)
-        if table.shape != (len(system.bases), 4):
-            raise DimensionMismatchError(
-                f"payout table shape {table.shape} does not match "
-                f"({len(system.bases)}, 4) contracts-by-outcomes"
-            )
-        if (table < 0).any():
-            raise ValidationError("contract payouts must be finite and nonnegative")
-        if state.dim != 4:
-            raise DimensionMismatchError(f"menu state must have dimension 4, got {state.dim}")
-        if kernel is not None and kernel.dim != 4:
-            raise DimensionMismatchError(f"menu kernel must have dimension 4, got {kernel.dim}")
+        self.payout_tables = _payout_table(system, payout_tables)
+        self.state = _four_dimensional(state, "state")
+        self.kernel = None if kernel is None else _four_dimensional(kernel, "kernel")
         problems = structure_diagnostics(system)
         if problems:
             raise ValidationError(problems[0])
-        table.setflags(write=False)
         self.system = system
-        self.payout_tables = table
-        self.state = state
-        self.kernel = kernel
+
+
+# The menu's argument checks, in the order ContractMenu applies them; each
+# rejects one argument, so a caller can name it.
+
+
+def _payout_table(system: KSSystem, payout_tables) -> np.ndarray:
+    table = numeric_array(payout_tables, "payout table", ndim=2)
+    if table.shape != (len(system.bases), 4):
+        raise DimensionMismatchError(
+            f"payout table shape {table.shape} does not match "
+            f"({len(system.bases)}, 4) contracts-by-outcomes"
+        )
+    if (table < 0).any():
+        raise ValidationError("contract payouts must be finite and nonnegative")
+    table.setflags(write=False)
+    return table
+
+
+def _four_dimensional(operator, role: str):
+    if operator.dim != 4:
+        raise DimensionMismatchError(f"menu {role} must have dimension 4, got {operator.dim}")
+    return operator
 
 
 def _outcome_probabilities(system: KSSystem, state: DensityMatrix) -> np.ndarray:

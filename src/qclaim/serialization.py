@@ -224,7 +224,7 @@ def _int_row(row: list, what: str, field: str, index: int) -> tuple:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
+def _render(value: Any, pieces: list[str]) -> None:
     kind = type(value)
     if kind is float:
         if not math.isfinite(value):
@@ -238,69 +238,55 @@ def _render(value: Any, pieces: list[str], indent: int, pretty: bool) -> None:
         pieces.append("true" if value else "false")
     elif value is None:
         pieces.append("null")
-    elif kind is dict or kind is list or kind is tuple:
-        if kind is dict:
-            items = sorted(value.items())
-            for key, _ in items:
-                if not isinstance(key, str):
-                    raise ValidationError(f"report keys must be strings, got {key!r}")
-            opening, closing = "{", "}"
-        else:
-            items = value
-            opening, closing = "[", "]"
-        if not items:
-            pieces.append(opening + closing)
-            return
-        pieces.append(opening)
-        if pretty:
-            child_pad = "\n" + "  " * (indent + 1)
-            colon = ": "
-        else:
-            colon = ":"
-        for i, item in enumerate(items):
+    elif kind is dict:
+        pieces.append("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if not isinstance(key, str):
+                raise ValidationError(f"report keys must be strings, got {key!r}")
             if i:
                 pieces.append(",")
-            if pretty:
-                pieces.append(child_pad)
-            if kind is dict:
-                key, item = item
-                pieces.append(_quote(key) + colon)
-            _render(item, pieces, indent + 1, pretty)
-        if pretty:
-            pieces.append("\n" + "  " * indent)
-        pieces.append(closing)
+            pieces.append(_quote(key) + ":")
+            _render(item, pieces)
+        pieces.append("}")
+    elif kind is list or kind is tuple:
+        pieces.append("[")
+        for i, item in enumerate(value):
+            if i:
+                pieces.append(",")
+            _render(item, pieces)
+        pieces.append("]")
     # Integers of any type, subclasses of the builtin types (bool has none),
     # then numpy's other scalars and arrays, are converted to the builtin
     # they stand for and rendered as above.
     elif is_integer(value):
-        _render(int(value), pieces, indent, pretty)
+        _render(int(value), pieces)
     elif isinstance(value, float):
-        _render(float(value), pieces, indent, pretty)
+        _render(float(value), pieces)
     elif isinstance(value, str):
         pieces.append(_quote(value))
     elif isinstance(value, dict):
-        _render(dict(value), pieces, indent, pretty)
+        _render(dict(value), pieces)
     elif isinstance(value, (list, tuple)):
-        _render(list(value), pieces, indent, pretty)
+        _render(list(value), pieces)
     else:
         import numpy as np
 
         if isinstance(value, np.bool_):
-            _render(bool(value), pieces, indent, pretty)
+            _render(bool(value), pieces)
         elif isinstance(value, np.floating):
-            _render(float(value), pieces, indent, pretty)
+            _render(float(value), pieces)
         elif isinstance(value, np.ndarray):
-            _render(list(value), pieces, indent, pretty)
+            _render(list(value), pieces)
         else:
             raise ValidationError(f"cannot serialize {type(value).__name__} into a report")
 
 
-def render_json(value: Any, pretty: bool = False) -> str:
+def render_json(value: Any) -> str:
     """Deterministic JSON text: sorted keys, floats at 17 significant digits.
 
     A non-finite float raises ``NumericalError``: every decoded input is
     finite, so one in a report comes from the computation.
     """
     pieces: list[str] = []
-    _render(value, pieces, 0, pretty)
+    _render(value, pieces)
     return "".join(pieces)

@@ -448,7 +448,12 @@ INTEGER_GATES = {
     "calibrate-n": lambda x: qc.calibrate(x, 1.0, []),
     "arrow_debreu": lambda x: qc.arrow_debreu(B2, x),
     "verify_optimality-trials": lambda x: qc.verify_optimality(
-        qc.optimal_payouts(_mixed(2), _kernel(2), B2, 1.0, LOG), _mixed(2), _kernel(2), LOG, trials=x
+        qc.optimal_payouts(_mixed(2), _kernel(2), B2, 1.0, LOG),
+        _mixed(2),
+        _kernel(2),
+        LOG,
+        trials=x,
+        rng=np.random.default_rng(0),
     ),
     "TwoPartyState": lambda x: qc.TwoPartyState((x, 4), bell_state()),
     "KSRay-ray_id": lambda x: qc.KSRay(x, (1, 0, 0, 0)),

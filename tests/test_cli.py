@@ -124,39 +124,32 @@ def test_digest_tracks_scenario_bytes(tmp_path, capsys):
     assert report["kind"] == "price"
 
 
-def test_pretty_output_parses_to_same_report(tmp_path, capsys):
-    path = write_scenario(tmp_path, price_scenario())
-    assert cli.run("price", path) == 0
-    compact = json.loads(capsys.readouterr().out)
-    assert cli.run("price", path, pretty=True) == 0
-    pretty_text = capsys.readouterr().out
-    assert "\n  " in pretty_text
-    assert json.loads(pretty_text) == compact
+@pytest.mark.parametrize("seed", [11, 2**64 - 1])
+def test_scenario_seed_reaches_the_report(seed, tmp_path, capsys):
+    assert cli.run("price", write_scenario(tmp_path, price_scenario(seed=seed))) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
 
 
-def test_seed_precedence(tmp_path, capsys):
-    path = write_scenario(tmp_path, price_scenario(seed=11))
-    assert cli.run("price", path) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 11
-    assert cli.run("price", path, seed=42) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 42
-
-
-def test_seed_bounds(tmp_path, capsys):
-    path = write_scenario(tmp_path, price_scenario())
-    assert cli.run("price", path, seed=-1) == 2
-    assert cli.run("price", path, seed=2**64) == 2
-    assert cli.run("price", path, seed=2**64 - 1) == 0
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_bounds(seed, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.run("price", write_scenario(tmp_path, price_scenario(seed=seed)), str(out)) == 2
+    assert not out.exists()
+    assert single_error_record(capsys)["message"] == (
+        f"scenario.seed must fit in an unsigned 64-bit integer, got {seed}"
+    )
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "str", "bool"])
-def test_seed_override_must_be_an_integer(seed, tmp_path, capsys):
+def test_scenario_seed_must_be_an_integer(seed, tmp_path, capsys):
+    document = json.loads((GOLDEN / "optimize.scenario.json").read_text())
+    document["seed"] = seed
     out = tmp_path / "report.json"
-    assert cli.run("optimize", str(GOLDEN / "optimize.scenario.json"), out_path=str(out), seed=seed) == 2
+    assert cli.run("optimize", write_scenario(tmp_path, document), out_path=str(out)) == 2
     assert not out.exists()
     record = single_error_record(capsys)
     assert record["exit_code"] == 2 and record["type"] == "validation"
-    assert record["message"] == f"seed must be an integer, got {seed!r}"
+    assert record["message"] == f"scenario.seed must be an integer, got {seed!r}"
 
 
 def error_record(capsys):
@@ -348,20 +341,46 @@ def test_console_entry_point(tmp_path):
             str(GOLDEN / "price.scenario.json"),
             "--out",
             str(out),
-            "--seed",
-            "5",
-            "--pretty",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
     assert proc.returncode == 0
+    assert out.read_bytes() == (GOLDEN / "price.report.json").read_bytes()
     report = json.loads(out.read_text())
-    assert report["seed"] == 5
+    assert report["seed"] == 0
     assert report["results"]["price"] == 0.95
     assert proc.stdout == ""
     assert "price" in proc.stderr
+
+
+@pytest.mark.parametrize("kind", cli.SUBCOMMANDS)
+def test_main_writes_the_golden_report(kind, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main([kind, "--scenario", str(GOLDEN / f"{kind}.scenario.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{kind}.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--pretty"], ["--seed", "5"]], ids=["pretty", "seed"])
+def test_retired_options_are_unrecognized(option, tmp_path, capsys):
+    # A report depends only on its scenario's bytes: no option reformats it or reseeds it.
+    out = tmp_path / "report.json"
+    argv = ["optimize", "--scenario", str(GOLDEN / "optimize.scenario.json"), "--out", str(out)]
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv + option)
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", cli.SUBCOMMANDS)
+def test_subcommand_help_lists_only_scenario_and_out(kind, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([kind, "--help"])
+    assert stop.value.code == 0
+    options = re.findall(r"^ +(-[-\w]+)", capsys.readouterr().out, re.M)
+    assert options == ["-h", "--scenario", "--out"]
 
 
 def test_help_lists_every_subcommand(capsys, monkeypatch):
@@ -546,7 +565,7 @@ def test_menu_rejects_non_orthogonal_tetrads(tmp_path, capsys):
     assert not out.exists()
     record = single_error_record(capsys)
     assert record["type"] == "validation"
-    assert record["message"] == "tetrad 0: rays 0 and 1 have dot product 1"
+    assert record["message"] == "payload.system: tetrad 0: rays 0 and 1 have dot product 1"
 
 
 SKEWED_Q = [[[1.0 - 1e-11, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-11, 0.0]]]
@@ -660,8 +679,13 @@ def _set(path, value):
 
 
 NOT_HERMITIAN = "HermitianOperator is not Hermitian: max |A - A^dagger| = 5.000e-01"
-# A 3 x 3 diagonal state, as a scenario matrix of [re, im] pairs.
+# 2 x 2 and 3 x 3 diagonal states, as scenario matrices of [re, im] pairs.
+STATE_2 = [[[0.5 if i == j else 0.0, 0.0] for j in range(2)] for i in range(2)]
 STATE_3 = [[[w if i == j else 0.0, 0.0] for j in range(3)] for i, w in enumerate((0.25, 0.5, 0.25))]
+
+
+def _eight_payout_rows(document):
+    del document["payload"]["payouts"][8]
 
 
 @pytest.mark.parametrize(
@@ -719,6 +743,27 @@ STATE_3 = [[[w if i == j else 0.0, 0.0] for j in range(3)] for i, w in enumerate
             _set(["kernel", "q"], STATE_3),
             "payload.kernel.q: state dimension 3 does not match joint dimension 4",
         ),
+        ("menu", _set(["state"], STATE_2), "payload.state: menu state must have dimension 4, got 2"),
+        (
+            "menu",
+            _set(["payouts", 0, 0], -1.0),
+            "payload.payouts: contract payouts must be finite and nonnegative",
+        ),
+        (
+            "menu",
+            _eight_payout_rows,
+            "payload.payouts: payout table shape (8, 4) does not match (9, 4) contracts-by-outcomes",
+        ),
+        (
+            "menu",
+            _set(["kernel", "q"], STATE_3),
+            "payload.kernel.q: menu kernel must have dimension 4, got 3",
+        ),
+        (
+            "menu",
+            _set(["payouts", 0, 0], 0.0),
+            "payload.payouts: utility scoring requires strictly positive payouts",
+        ),
     ],
     ids=[
         "dims-one-element",
@@ -737,6 +782,11 @@ STATE_3 = [[[w if i == j else 0.0, 0.0] for j in range(3)] for i, w in enumerate
         "dims-do-not-compose",
         "dims-zero",
         "kernel-q-dimension",
+        "menu-state-dimension",
+        "menu-negative-payout",
+        "menu-payout-rows",
+        "menu-kernel-dimension",
+        "menu-zero-payout-under-utility",
     ],
 )
 def test_decoder_shape_rejections(kind, edit, message, tmp_path, capsys):
@@ -757,7 +807,7 @@ ENTRY_POINTS = {
     "optimize": ("qclaim.investment", "optimal_payouts"),
     "returns": ("qclaim.investment", "optimal_payouts"),
     "ks": ("qclaim.cli", "structure_diagnostics"),
-    "menu": ("qclaim.kochen_specker", "ContractMenu"),
+    "menu": ("qclaim.kochen_specker", "_payout_table"),
     "portfolio": ("qclaim.portfolio", "TwoPartyState"),
 }
 

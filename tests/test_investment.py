@@ -213,7 +213,7 @@ def test_verify_optimality_rejects_overflowing_alternatives():
     log = qc.UtilityFunction.log()
     plan = qc.optimal_payouts(state, kernel, qc.standard_basis(2), 5e297, log)
     with pytest.raises(qc.NumericalError, match="overflowed"):
-        qc.verify_optimality(plan, state, kernel, log, trials=64)
+        qc.verify_optimality(plan, state, kernel, log, trials=64, rng=np.random.default_rng(0))
 
 
 def test_flat_allocation_fails_verification():
@@ -222,7 +222,7 @@ def test_flat_allocation_fails_verification():
     flat = qc.OptimalInvestment(
         qc.standard_basis(2), [1.0 / 0.95, 1.0 / 0.95], 1.0, 1.0, 1.0
     )
-    assert not qc.verify_optimality(flat, state, kernel, qc.UtilityFunction.log(), trials=500)
+    assert not qc.verify_optimality(flat, state, kernel, qc.UtilityFunction.log(), trials=500, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("payout, cost", [(10.0, "9.5"), (0.1, "0.095")])
@@ -233,7 +233,7 @@ def test_verify_optimality_prices_the_candidate(payout, cost):
     kernel = qc.PricingKernel(0.95, diag_state(0.5, 0.5))
     candidate = qc.OptimalInvestment(qc.standard_basis(2), [payout, payout], 1.0, 1.0, 1.0)
     with pytest.raises(qc.ValidationError, match=f"candidate costs {cost} against budget 1.0"):
-        qc.verify_optimality(candidate, state, kernel, qc.UtilityFunction.log(), trials=16)
+        qc.verify_optimality(candidate, state, kernel, qc.UtilityFunction.log(), trials=16, rng=np.random.default_rng(0))
 
 
 def test_bond_payouts_earn_the_interest_rate():

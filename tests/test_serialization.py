@@ -169,14 +169,6 @@ def test_render_json_accepts_numpy_values():
     assert text == '{"f":true,"n":3,"v":[1,0.5]}'
 
 
-def test_render_json_pretty_parses_back():
-    value = {"results": {"x": [1.5, 2.5]}, "ok": True}
-    compact = render_json(value)
-    pretty = render_json(value, pretty=True)
-    assert json.loads(compact) == json.loads(pretty)
-    assert "\n" in pretty and pretty.startswith("{\n")
-
-
 def test_render_json_rejects_non_string_keys():
     with pytest.raises(qc.ValidationError):
         render_json({1: "x"})
@@ -187,13 +179,11 @@ def test_render_json_rejects_non_string_keys():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def reference_render_json(value, pretty=False):
+def reference_render_json(value):
     """Report rendering by one isinstance test per value."""
     pieces = []
 
-    def walk(value, indent):
-        pad = "  " * indent
-        child_pad = "  " * (indent + 1)
+    def walk(value):
         if isinstance(value, (bool, np.bool_)):
             pieces.append("true" if value else "false")
         elif isinstance(value, (int, np.integer)):
@@ -212,39 +202,25 @@ def reference_render_json(value, pretty=False):
             for key, _ in items:
                 if not isinstance(key, str):
                     raise qc.ValidationError(f"report keys must be strings, got {key!r}")
-            if not items:
-                pieces.append("{}")
-                return
             pieces.append("{")
             for i, (key, item) in enumerate(items):
-                if pretty:
-                    pieces.append("\n" + child_pad)
-                pieces.append(json.dumps(key) + (": " if pretty else ":"))
-                walk(item, indent + 1)
+                pieces.append(json.dumps(key) + ":")
+                walk(item)
                 if i + 1 < len(items):
                     pieces.append(",")
-            if pretty:
-                pieces.append("\n" + pad)
             pieces.append("}")
         elif isinstance(value, (list, tuple, np.ndarray)):
             items = list(value)
-            if not items:
-                pieces.append("[]")
-                return
             pieces.append("[")
             for i, item in enumerate(items):
-                if pretty:
-                    pieces.append("\n" + child_pad)
-                walk(item, indent + 1)
+                walk(item)
                 if i + 1 < len(items):
                     pieces.append(",")
-            if pretty:
-                pieces.append("\n" + pad)
             pieces.append("]")
         else:
             raise qc.ValidationError(f"cannot serialize {type(value).__name__} into a report")
 
-    walk(value, 0)
+    walk(value)
     return "".join(pieces)
 
 
@@ -275,17 +251,15 @@ def random_report_value(rng, depth=0):
     return items
 
 
-@pytest.mark.parametrize("pretty", [False, True])
-def test_render_matches_the_isinstance_reference(pretty):
+def test_render_matches_the_isinstance_reference():
     for path in sorted(GOLDEN.glob("*.report.json")):
         report = json.loads(path.read_text())
-        assert render_json(report, pretty=pretty) == reference_render_json(report, pretty=pretty)
-        if not pretty:
-            assert render_json(report) + "\n" == path.read_text()
+        assert render_json(report) == reference_render_json(report)
+        assert render_json(report) + "\n" == path.read_text()
     rng = np.random.default_rng(7)
     for _ in range(400):
         value = random_report_value(rng)
-        assert render_json(value, pretty=pretty) == reference_render_json(value, pretty=pretty)
+        assert render_json(value) == reference_render_json(value)
     assert render_json([True, 1, np.True_, np.int8(1), 1.0]) == "[true,1,true,1,1]"
 
 
