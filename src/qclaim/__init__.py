@@ -77,7 +77,6 @@ _EXPORTS = {
         "arrow_debreu",
         "calibrate",
         "check_axioms",
-        "claim_combine",
         "discount_bond",
         "expected_payout",
         "price",

@@ -150,7 +150,7 @@ def _price(*, p, kernel, claim):
 
     results = {
         "price": price(kernel, claim),
-        "expected_payout": expected_payout(p, claim),
+        "expected_payout": _checked(expected_payout, "payload.p", p, claim),
     }
     summary = f"price {results['price']:.12g}, expected payout {results['expected_payout']:.12g}"
     return results, [], summary
@@ -158,12 +158,19 @@ def _price(*, p, kernel, claim):
 
 @_command("calibrate", "recover a pricing state from quoted prices")
 def _calibrate(*, n, bond_price, quotes):
-    from .pricing import calibrate, price
+    import numpy as np
+
+    from .pricing import _row_dots, calibrate
+    from .quantum import _probabilities, _quadratic_forms
 
     kernel = calibrate(n, bond_price, quotes)
-    repricing_error = 0.0
-    for claim, observed in quotes:
-        repricing_error = max(repricing_error, abs(price(kernel, claim) - observed))
+    # Every quote repriced in one marginal pass under the recovered state.
+    bases = np.array([claim.basis.vectors for claim, _ in quotes]).reshape(-1, n, n)
+    payouts = np.array([claim.payouts for claim, _ in quotes]).reshape(-1, n)
+    marginals = _probabilities(_quadratic_forms(kernel.q.entries, bases))
+    prices = kernel.discount * _row_dots(payouts, marginals)
+    observed = np.array([value for _, value in quotes])
+    repricing_error = float(np.abs(prices - observed).max(initial=0.0))
     results = {
         "kernel": kernel_to_json(kernel),
         "quote_count": len(quotes),
@@ -182,7 +189,10 @@ def _optimize(*, p, kernel, basis, budget, utility, verify_trials=256, seed: int
     import numpy as np
 
     from .investment import expected_utility, optimal_payouts, verify_optimality
+    from .quantum import basis_marginals
 
+    # The one check that sets p against basis, run first so its rejection names the basis.
+    _checked(basis_marginals, "payload.basis", p, basis)
     investment = optimal_payouts(p, kernel, basis, budget, utility)
     verified = verify_optimality(
         investment, p, kernel, utility, verify_trials, np.random.default_rng(seed)
@@ -208,13 +218,13 @@ def _returns(*, p, kernel, basis, budget, utility, horizon=1.0):
     from .investment import excess_return_factor, kl_divergence, optimal_payouts, rate_of_return
     from .quantum import basis_marginals
 
+    p_m = _checked(basis_marginals, "payload.basis", p, basis)
+    q_m = basis_marginals(kernel.q, basis)
     investment = optimal_payouts(p, kernel, basis, budget, utility)
     log_utility = utility.kind == "log"
     report = rate_of_return(
         p, kernel, basis, investment.payouts, horizon, verify_log_optimal=log_utility
     )
-    p_m = basis_marginals(p, basis)
-    q_m = basis_marginals(kernel.q, basis)
     divergence = kl_divergence(p_m, q_m)
     results = {
         "payouts": investment.payouts.tolist(),
@@ -325,7 +335,8 @@ def _portfolio(*, dims, rho, U, V, theta, kernel=None):
 
     state = _checked(TwoPartyState, "payload.dims", dims, rho)
     observable = portfolio_observable(U, V, theta)
-    expected = portfolio_expected_payout(state, observable)
+    leg = "payload.U" if U.dim != state.dims[0] else "payload.V"  # the leg off the state's dims
+    expected = _checked(portfolio_expected_payout, leg, state, observable)
     physical = payout_covariance(state, U, V, "physical")
     results = {
         "expected_payout": expected,

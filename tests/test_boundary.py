@@ -51,13 +51,18 @@ def test_spectral_values_pass_the_gates(n):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_combined_claim_reproduces_the_weighted_sum(n):
+    # a X + b Y for two claims on one basis, rebuilt from its spectrum with the eigenvalues
+    # rounded below 0 by at most TOL.psd taken as zero payouts, passes the claim gates.
     rng = np.random.default_rng(200 + n)
     basis = random_basis(rng, n)
     first = qc.FinancialClaim(basis, rng.uniform(0.0, 2.0, size=n))
     second = qc.FinancialClaim(basis, rng.uniform(0.0, 2.0, size=n))
     for a, b in ((1.0, 1.0), (0.5, 2.0)):
-        combined = qc.claim_combine(a, first, b, second)
         expected = a * first.as_operator().entries + b * second.as_operator().entries
+        spectrum = qc.eigendecompose(qc.HermitianOperator(expected))
+        vals = spectrum.eigenvalues
+        payouts = np.where((vals < 0.0) & (vals >= -TOL.psd), 0.0, vals)
+        combined = qc.FinancialClaim(qc.MeasurementBasis(spectrum.basis.vectors), payouts)
         gap = np.abs(combined.as_operator().entries - expected).max()
         assert gap <= TOL.reconstruction
 
@@ -123,7 +128,6 @@ def test_derived_values_skip_the_gates(constructions):
     constructions.clear()
 
     qc.check_axioms(kernel, state, claims)
-    qc.claim_combine(1.0, claims[0], 2.0, claims[1])
     qc.eigendecompose(operator)
     qc.from_spectrum(np.arange(n, dtype=float), basis)
     qc.subsystem_marginal(joint, (n, 2), 1)
@@ -261,11 +265,6 @@ GATE_MESSAGES = {
         qc.ValidationError,
         "gross return must be positive for rate decomposition",
     ),
-    "claim_combine": (
-        lambda: qc.claim_combine(1.0, qc.discount_bond(2), 1.0, qc.discount_bond(3)),
-        qc.DimensionMismatchError,
-        "claims of dimension 2 and 3",
-    ),
     "check_axioms-state": (
         lambda: qc.check_axioms(_kernel(2), _mixed(3), []),
         qc.DimensionMismatchError,
@@ -373,13 +372,10 @@ def _calibrated(price):
     return qc.calibrate(2, 1.0, quotes).q.entries
 
 
-CLAIM = qc.FinancialClaim(B2, [1.0, 2.0])
 LEG = qc.HermitianOperator(np.diag([1.0, 2.0]))
 # Each real scalar argument the library checks, as a call that passes ``x`` in that place.
 SCALAR_GATES = {
     "PricingKernel-discount": lambda x: qc.PricingKernel(x, _mixed(2)).discount,
-    "claim_combine-a": lambda x: qc.claim_combine(x, CLAIM, 1.0, CLAIM).payouts,
-    "claim_combine-b": lambda x: qc.claim_combine(1.0, CLAIM, x, CLAIM).payouts,
     "calibrate-bond_price": lambda x: qc.calibrate(1, x, []).discount,
     "calibrate-quote_price": _calibrated,
     "UtilityFunction-exponent": lambda x: qc.UtilityFunction("power", x),

@@ -9,11 +9,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qclaim as qc
 import qclaim.cli as cli
 import qclaim.investment
+import qclaim.pricing
 import qclaim.serialization
+from helpers import random_basis, random_density
+from qclaim.quantum import _trusted
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -216,6 +221,42 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     record = error_record(capsys)
     assert record["exit_code"] == 3 and record["type"] == "numerical"
     assert "rank" in record["message"]
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-10], ids=["consistent", "perturbed"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_calibrate_reprices_every_quote_in_one_pass(n, noise):
+    # The largest gap between a quote and its price under the recovered state, as one
+    # ``price`` call per quote gives it, to the last bits of a price (at n = 1 the stacked
+    # pass can round differently); perturbed quotes leave a least-squares residual.
+    rng = np.random.default_rng(900 + n)
+    kernel = qc.PricingKernel(rng.uniform(0.5, 1.0), random_density(rng, n))
+    quotes = []
+    for _ in range(n * n + 2):
+        claim = qc.FinancialClaim(random_basis(rng, n), rng.uniform(0.0, 2.0, size=n))
+        quotes.append((claim, qc.price(kernel, claim) + noise * rng.uniform(-1.0, 1.0)))
+    results, _, _ = cli._calibrate(n=n, bond_price=kernel.discount, quotes=quotes)
+    recovered = qc.calibrate(n, kernel.discount, quotes)
+    gaps = [abs(qc.price(recovered, claim) - value) for claim, value in quotes]
+    assert abs(results["max_repricing_error"] - max(gaps)) <= 2 * np.finfo(float).eps
+    assert results["quote_count"] == n * n + 2
+
+
+def test_calibrate_repricing_names_the_first_quote_out_of_born_range(monkeypatch):
+    # A recovered state with a negative eigenvalue (the state gate bypassed) puts the Born
+    # weights of quotes 1 and 2 below 0; the error is the one ``price`` raises on quote 1.
+    q = _trusted(qc.DensityMatrix, np.diag([1.25, -0.25]).astype(complex))
+    kernel = qc.PricingKernel(0.9, q)
+    monkeypatch.setattr(qclaim.pricing, "calibrate", lambda n, bond_price, quotes: kernel)
+    c, s = math.cos(0.3), math.sin(0.3)
+    bases = (np.array([[1, 1], [1, -1]]) / math.sqrt(2), [[c, s], [-s, c]], np.eye(2))
+    quotes = [(qc.FinancialClaim(qc.MeasurementBasis(b), [1.0, 1.0]), 0.9) for b in bases]
+    with pytest.raises(qc.NumericalError) as first:
+        qc.price(kernel, quotes[1][0])
+    with pytest.raises(qc.NumericalError) as caught:
+        cli._calibrate(n=2, bond_price=0.9, quotes=quotes)
+    assert str(caught.value) == str(first.value)
+    assert str(first.value).startswith("Born probability -0.1")
 
 
 def test_a_non_finite_result_exits_3(tmp_path, capsys):
@@ -682,6 +723,7 @@ NOT_HERMITIAN = "HermitianOperator is not Hermitian: max |A - A^dagger| = 5.000e
 # 2 x 2 and 3 x 3 diagonal states, as scenario matrices of [re, im] pairs.
 STATE_2 = [[[0.5 if i == j else 0.0, 0.0] for j in range(2)] for i in range(2)]
 STATE_3 = [[[w if i == j else 0.0, 0.0] for j in range(3)] for i, w in enumerate((0.25, 0.5, 0.25))]
+IDENTITY_3 = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
 
 
 def _eight_payout_rows(document):
@@ -743,6 +785,27 @@ def _eight_payout_rows(document):
             _set(["kernel", "q"], STATE_3),
             "payload.kernel.q: state dimension 3 does not match joint dimension 4",
         ),
+        (
+            "portfolio",
+            _set(["U"], IDENTITY_3),
+            "payload.U: state dimensions (2, 2) differ from observable dimensions (3, 2)",
+        ),
+        (
+            "portfolio",
+            _set(["V"], IDENTITY_3),
+            "payload.V: state dimensions (2, 2) differ from observable dimensions (2, 3)",
+        ),
+        ("price", _set(["p"], STATE_3), "payload.p: dimension-2 basis against a dimension-3 state"),
+        (
+            "optimize",
+            _set(["basis"], IDENTITY_3),
+            "payload.basis: dimension-3 basis against a dimension-2 state",
+        ),
+        (
+            "returns",
+            _set(["basis"], IDENTITY_3),
+            "payload.basis: dimension-3 basis against a dimension-2 state",
+        ),
         ("menu", _set(["state"], STATE_2), "payload.state: menu state must have dimension 4, got 2"),
         (
             "menu",
@@ -782,6 +845,11 @@ def _eight_payout_rows(document):
         "dims-do-not-compose",
         "dims-zero",
         "kernel-q-dimension",
+        "U-dimension",
+        "V-dimension",
+        "p-dimension",
+        "optimize-basis-dimension",
+        "returns-basis-dimension",
         "menu-state-dimension",
         "menu-negative-payout",
         "menu-payout-rows",
@@ -804,8 +872,8 @@ def test_decoder_shape_rejections(kind, edit, message, tmp_path, capsys):
 ENTRY_POINTS = {
     "price": ("qclaim.pricing", "price"),
     "calibrate": ("qclaim.pricing", "calibrate"),
-    "optimize": ("qclaim.investment", "optimal_payouts"),
-    "returns": ("qclaim.investment", "optimal_payouts"),
+    "optimize": ("qclaim.quantum", "basis_marginals"),
+    "returns": ("qclaim.quantum", "basis_marginals"),
     "ks": ("qclaim.cli", "structure_diagnostics"),
     "menu": ("qclaim.kochen_specker", "_payout_table"),
     "portfolio": ("qclaim.portfolio", "TwoPartyState"),

@@ -118,6 +118,16 @@ def test_eigendecompose_rejects_an_overflowing_spectrum():
         qc.eigendecompose(op)
 
 
+def test_eigendecompose_names_a_decomposition_that_does_not_converge(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    op = qc.HermitianOperator(np.diag([2.0, -1.0]))
+    with pytest.raises(qc.NumericalError, match="^eigendecomposition did not converge: Eigenvalues"):
+        qc.eigendecompose(op)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_eigendecompose_round_trip(n):
     rng = np.random.default_rng(n)
