@@ -23,6 +23,7 @@ from .quantum import (
     _assemble,
     _probabilities,
     _quadratic_forms,
+    _spectra,
     _spectral_sum,
     basis_marginals,
     standard_basis,
@@ -158,11 +159,11 @@ def check_axioms(kernel: PricingKernel, state: DensityMatrix, sample_claims) -> 
     payouts = [c.payouts for c in claims]
     bases = [c.basis.vectors for c in claims]
     for label, probed in (("physical", state), ("pricing", kernel.q)):
-        vals, vecs = np.linalg.eigh(probed.entries)
+        vals, rows = _spectra(probed.entries)
         for j in np.flatnonzero(vals < TOL.null_space):
             labels.append(f"unit claim on {label}-state null eigenvector {int(j)}")
             payouts.append(np.eye(n)[j])
-            bases.append(vecs.T)
+            bases.append(rows)
     probes = len(labels)
     payouts = np.array(payouts).reshape(probes, n)
     # forms[k] holds probe k's outcome weights under q and then under the physical state, so

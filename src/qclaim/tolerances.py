@@ -18,12 +18,10 @@ class Tolerances:
     trace: float = 1e-9
     psd: float = 1e-9
     null_space: float = 1e-9
-    reconstruction: float = 1e-8
     price: float = 1e-8
     calibration: float = 1e-8
     budget: float = 1e-8
     marginal_floor: float = 1e-12
-    additivity: float = 1e-10
     excess_identity: float = 1e-10
     optimality: float = 1e-9
 

@@ -10,8 +10,8 @@ each gate no other test reaches; and every real or integer scalar
 argument, size and numeric array is shown to go through the one rule in
 ``qclaim.errors``.  The last tests keep the library on its one set of
 tolerances, with no function taking a ``tol`` parameter and every
-``Tolerances`` field read by a gate, and keep the scalar and array rules the
-only copies.
+``Tolerances`` field read by a gate, and keep the scalar and array rules and
+the one ``eigh`` call the only copies.
 """
 
 import ast
@@ -33,6 +33,7 @@ from test_kochen_specker import peres_system
 
 TOL = qc.DEFAULT_TOLERANCES
 DIMS = range(1, 9)
+RECONSTRUCTION = 1e-8  # a spectrum rebuilds its operator by construction; the library checks no rebuild
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -64,7 +65,7 @@ def test_combined_claim_reproduces_the_weighted_sum(n):
         payouts = np.where((vals < 0.0) & (vals >= -TOL.psd), 0.0, vals)
         combined = qc.FinancialClaim(qc.MeasurementBasis(spectrum.basis.vectors), payouts)
         gap = np.abs(combined.as_operator().entries - expected).max()
-        assert gap <= TOL.reconstruction
+        assert gap <= RECONSTRUCTION
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -685,3 +686,17 @@ def test_the_array_rule_has_one_owner():
     # A function that converts one of its own arguments to a typed array copies
     # ``numeric_array``, and takes strings and bools with it; it should call the rule.
     assert _copies_of_a_rule(_applies_the_array_rule, ARRAY_RULE_OWNERS) == []
+
+
+def _calls_eigh(call: ast.Call, params: set) -> bool:
+    # ``np.linalg.eigh(...)`` or ``eigh(...)`` on anything; ``eigvalsh`` is not matched.
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == "eigh") or (
+        isinstance(func, ast.Name) and func.id == "eigh"
+    )
+
+
+def test_eigh_has_one_owner():
+    # Every eigendecomposition goes through ``_spectra``, which names a non-converging one;
+    # a bare eigh call elsewhere lets LinAlgError escape the error types.
+    assert _copies_of_a_rule(_calls_eigh, {"quantum.py _spectra"}) == []

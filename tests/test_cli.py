@@ -645,8 +645,8 @@ def test_extreme_budgets_exit_3(budget, q, utility, message, tmp_path, capsys):
 
 @pytest.mark.parametrize("theta", [[1e308, 1e308], [1e308, -1e308]], ids=["same-sign", "opposite"])
 def test_overflowing_portfolio_payout_exits_3(theta, tmp_path, capsys):
-    # The joint payout is nan; it once passed the additivity gate and the
-    # report renderer raised outside the error handling, exiting 1.
+    # The joint payout is nan; the finiteness gate stops it before the
+    # report renderer, which would raise outside the error handling and exit 1.
     document = json.loads((GOLDEN / "portfolio.scenario.json").read_text())
     document["payload"]["theta"] = theta
     out = tmp_path / "report.json"
@@ -654,7 +654,7 @@ def test_overflowing_portfolio_payout_exits_3(theta, tmp_path, capsys):
     assert not out.exists()
     record = single_error_record(capsys)
     assert record["type"] == "numerical"
-    assert record["message"].startswith("additivity violated numerically")
+    assert record["message"] == "expected portfolio payout overflowed: nan"
 
 
 def test_overflowing_basis_exits_2_without_numpy_warnings(tmp_path, capsys):

@@ -154,20 +154,10 @@ def reference_two_party_operator(position):
     ] * np.kron(np.eye(n), position.second.entries)
 
 
-def reference_two_party_payout(state, position, tol=qc.DEFAULT_TOLERANCES):
-    # A dedicated two-leg payout and additivity gate: the oracle for the N = 2 payout.
-    def trace_product(a, b):
-        return float(np.real(np.sum(a * b.T)))
-
-    joint = trace_product(state.rho.entries, reference_two_party_operator(position))
-    first = qc.subsystem_marginal(state.rho, state.dims, 0)
-    second = qc.subsystem_marginal(state.rho, state.dims, 1)
-    split = position.weights[0] * trace_product(
-        first.entries, position.first.entries
-    ) + position.weights[1] * trace_product(second.entries, position.second.entries)
-    if abs(joint - split) > tol.additivity * max(1.0, abs(joint)):
-        raise qc.NumericalError("additivity violated numerically")
-    return joint
+def reference_two_party_payout(state, position):
+    # A dedicated two-leg joint trace: the oracle for the N = 2 payout.
+    joint = reference_two_party_operator(position)
+    return float(np.real(np.sum(state.rho.entries * joint.T)))
 
 
 def test_two_party_portfolio_is_the_two_leg_nparty_case():

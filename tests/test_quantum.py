@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qclaim as qc
+from qclaim.quantum import _trusted
 from helpers import bell_state, random_basis, random_density, random_hermitian, shared_support_pair
 
 
@@ -111,31 +112,51 @@ def test_spectrum_is_read_only_and_sorted():
 
 
 def test_eigendecompose_rejects_an_overflowing_spectrum():
-    # eigh returns eigenvalues [0, inf]; the reconstruction error is nan and must fail the gate.
+    # eigh returns eigenvalues [0, inf]; the finiteness gate names the overflow.
     # No errstate here: the suite turns RuntimeWarning into an error, and the named one must win.
     op = qc.HermitianOperator([[1e308, 1e308], [1e308, 1e308]])
-    with pytest.raises(qc.NumericalError, match="eigendecomposition reconstruction error nan"):
+    with pytest.raises(qc.NumericalError, match=r"^eigendecomposition overflowed: max \|eigenvalue\| = inf$"):
         qc.eigendecompose(op)
 
 
-def test_eigendecompose_names_a_decomposition_that_does_not_converge(monkeypatch):
+def _state(*diagonal):
+    return qc.DensityMatrix(np.diag(diagonal))
+
+
+# Each public call that decomposes a state or operator, on valid input.
+DECOMPOSING = {
+    "eigendecompose": lambda: qc.eigendecompose(qc.HermitianOperator(np.diag([2.0, -1.0]))),
+    "check_axioms": lambda: qc.check_axioms(qc.PricingKernel(0.9, _state(0.5, 0.5)), _state(1.0, 0.0), []),
+    "equivalent_states": lambda: qc.equivalent_states(_state(0.5, 0.5), _state(1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("call", DECOMPOSING)
+def test_eigendecompose_names_a_decomposition_that_does_not_converge(call, monkeypatch):
     def failing_eigh(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    op = qc.HermitianOperator(np.diag([2.0, -1.0]))
     with pytest.raises(qc.NumericalError, match="^eigendecomposition did not converge: Eigenvalues"):
-        qc.eigendecompose(op)
+        DECOMPOSING[call]()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_eigendecompose_round_trip(n):
+    # eigh's backward error grows with the operator's norm, so the bound is relative to it.
     rng = np.random.default_rng(n)
-    for _ in range(20):
-        op = random_hermitian(rng, n, scale=3.0)
-        spec = qc.eigendecompose(op)
-        rebuilt = qc.from_spectrum(spec.eigenvalues, spec.basis)
-        assert np.max(np.abs(rebuilt.entries - op.entries)) < 1e-10
+    for scale in (3.0, 1e7, 1e12):
+        for _ in range(20):
+            op = random_hermitian(rng, n, scale=scale)
+            spec = qc.eigendecompose(op)
+            rebuilt = qc.from_spectrum(spec.eigenvalues, spec.basis)
+            assert np.max(np.abs(rebuilt.entries - op.entries)) <= 1e-12 * np.max(np.abs(op.entries))
+
+
+def test_an_out_of_range_born_weight_is_named_to_twelve_digits():
+    state = _trusted(qc.DensityMatrix, np.diag([1.0 + 1e-7, 0.0]).astype(complex))
+    with pytest.raises(qc.NumericalError, match=r"^Born probability 1\.0000001 lies outside \[0, 1\]$"):
+        qc.basis_marginals(state, qc.standard_basis(2))
 
 
 def test_basis_marginals_pure_cases():
